@@ -24,14 +24,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _UsageError(Exception):
+    """Bad input from the command line or environment: exit 1 with a message."""
+
+
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -40,7 +47,12 @@ def _oracle_cap(args) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("SMITHCUBE_CAP")
-    return int(env) if env else DEFAULT_ORACLE_CAP
+    if not env:
+        return DEFAULT_ORACLE_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise _UsageError(f"SMITHCUBE_CAP must be an integer, got {env!r}") from None
 
 
 def _summary_entries(summary) -> list:
@@ -51,9 +63,11 @@ def _summary_entries(summary) -> list:
 def _emit_report(report: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         _write(_canonical_json(report) + "\n", out)
+    elif fmt == "csv" and "entries" not in report:
+        _write(f"command,status\n{report['command']},{report['status']}\n", out)
     elif fmt == "csv":
         lines = ["value,multiplicity", f"0,{report.get('free_rank', 0)}"]
-        for e in report.get("entries", []):
+        for e in report["entries"]:
             lines.append(f"{e['value']},{e['multiplicity']}")
         _write("\n".join(lines) + "\n", out)
     else:
@@ -113,6 +127,9 @@ def _cmd_smith_group(args) -> int:
 
 def _cmd_verify(args) -> int:
     n = args.n
+    if n < 1:
+        print(f"error: n must be >= 1, got {n}", file=sys.stderr)
+        return 1
     t0 = time.monotonic()
     payload: dict = {}
     try:
@@ -241,7 +258,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .bigmat import (ElemDivTable, IntMatrix, InvariantFactors, block_diag,
-                     is_prime, snf, valuation)
+                     snf, valuation)
 from .canonical import build_E, wilson_form
 from .cube import DEFAULT_SIZE_CAP, blocks
 
@@ -24,6 +24,14 @@ def _require_even(n: int) -> int:
     if n < 2 or n % 2:
         raise ValueError(f"even n >= 2 required, got {n}")
     return n // 2
+
+
+def _binomial_row(n: int, k: int) -> list:
+    """[C(n, 0), ..., C(n, k)] by C(n, j+1) = C(n, j) * (n - j) / (j + 1)."""
+    row = [1]
+    for j in range(k):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return row
 
 
 def column_multiplicity(n: int, j: int) -> int:
@@ -126,7 +134,8 @@ def _v2(x: Fraction) -> int:
     num, den = x.numerator, x.denominator
     if num == 0:
         raise ValueError("2-adic valuation of zero")
-    return valuation(num, 2) - valuation(den, 2)
+    # the lowest set bit of an integer is its largest power-of-two divisor
+    return (num & -num).bit_length() - (den & -den).bit_length()
 
 
 @dataclass(frozen=True)
@@ -161,7 +170,6 @@ class CondensedMatrix:
             raise ValueError("row weights do not cover the row labels")
         if any(w <= 0 for w in self.row_weights.values()):
             raise ValueError("non-positive row weight")
-        seen = set()
         for (r, c), v in self.entries.items():
             if r not in rows or c not in cols:
                 raise ValueError(f"entry at unknown position {(r, c)}")
@@ -178,11 +186,10 @@ class CondensedMatrix:
                     raise ValueError(f"odd entry {v} on the even diagonal at {(r, c)}")
             else:
                 raise ValueError(f"entry outside the two diagonals at {(r, c)}")
-            seen.add((r, c))
         for (i, k) in rows:
-            if ((i, k), (i, k)) not in seen:
+            if ((i, k), (i, k)) not in self.entries:
                 raise ValueError(f"missing diagonal value at {(i, k)}")
-            if ((i, k), (i - 1, k)) not in seen:
+            if ((i, k), (i - 1, k)) not in self.entries:
                 raise ValueError(f"missing even entry in row {(i, k)}")
 
 
@@ -193,13 +200,18 @@ def build_condensed(m: int, n: int | None = None) -> CondensedMatrix:
         raise ValueError(f"m must be >= 0, got {m}")
     if n is None:
         n = 2 * m
+    binom = _binomial_row(n, m)
+    # row (i, k) stands for column_multiplicity(n, k - 1) rows, whatever i is
+    weight_of_k = {k: binom[k - 1] - (binom[k - 2] if k >= 2 else 0)
+                   for k in range(1, m + 1)}
     entries = {}
     weights = {}
     for i in range(1, m + 1):
+        even = Fraction(n - 2 * (i - 1))
         for k in range(1, i + 1):
-            entries[((i, k), (i - 1, k))] = Fraction(n - 2 * (i - 1))
+            entries[((i, k), (i - 1, k))] = even
             entries[((i, k), (i, k))] = Fraction(i + 1 - k)
-            weights[(i, k)] = column_multiplicity(n, k - 1)
+            weights[(i, k)] = weight_of_k[k]
     c = CondensedMatrix(m, entries, weights)
     c.validate()
     return c
@@ -266,6 +278,7 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
     for (i, k) in pivots:
         assert set(rows[(i, k)]) == {(i, k)}
         assert cols[(i, k)] == {(i, k)}
+    pivot_set = set(pivots)
 
     def residual(parity: int, new_m: int) -> CondensedMatrix:
         def map_row(lab):
@@ -280,7 +293,7 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
         weights = {}
         for r in rows:
             i, k = r
-            if r in pivots or i % 2 != parity:
+            if r in pivot_set or i % 2 != parity:
                 continue
             nr = map_row(r)
             weights[nr] = c.row_weights[r]
@@ -336,54 +349,65 @@ def _factor_small(x: int) -> dict:
     return out
 
 
-def invariant_factor_rle(counts: dict) -> tuple:
-    """Invariant factors of a diagonal matrix given as value -> multiplicity,
-    returned run-length encoded as (factor, count) pairs in chain order.
+def _valuation_tables(counts: dict) -> dict:
+    """prime -> {exponent -> multiplicity} for a multiset of nonzero values
+    given as value -> multiplicity.  Only the primes dividing some value
+    appear; exponent 0 counts the values the prime does not divide."""
+    total = sum(counts.values())
+    tables: dict = {}
+    for v, cnt in counts.items():
+        for p, e in _factor_small(v).items():
+            table = tables.setdefault(p, {})
+            table[e] = table.get(e, 0) + cnt
+    for table in tables.values():
+        table[0] = total - sum(table.values())
+    return tables
+
+
+def _positional_merge(tables: dict, total: int) -> tuple:
+    """Invariant factors, run-length encoded in chain order, of a diagonal
+    of `total` nonzero entries whose p-adic valuations are tables[p]
+    (exponent -> multiplicity); primes absent from `tables` divide nothing.
 
     Works positionally: for every prime the sorted valuations are aligned to
     the diagonal positions, so multiplicities may be astronomically large.
+    The running factor changes only where some prime's run ends.
     """
-    counts = {abs(v): c for v, c in counts.items() if c}
-    if any(v == 0 for v in counts):
-        raise ValueError("zero entry in a nonzero-diagonal multiset")
-    total = sum(counts.values())
-    if total == 0:
-        return ()
-    primes = sorted({p for v in counts for p in _factor_small(v)})
-    per_prime = {}
-    boundaries = {total}
-    for p in primes:
-        by_exp: dict = {}
-        for v, cnt in counts.items():
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            by_exp[e] = by_exp.get(e, 0) + cnt
-        cum = []
-        run = 0
-        for e in sorted(by_exp):
-            run += by_exp[e]
-            cum.append((run, e))
-            boundaries.add(run)
-        per_prime[p] = cum
+    factor = 1
+    steps: dict = {}  # position -> multiplier taking effect there
+    for p, table in tables.items():
+        runs = sorted((e, c) for e, c in table.items() if c)
+        if sum(c for _, c in runs) != total:
+            raise ValueError(f"valuation table of {p} does not cover {total} entries")
+        factor *= p ** runs[0][0]
+        pos = 0
+        for (e, c), (e_next, _) in zip(runs, runs[1:]):
+            pos += c
+            steps[pos] = steps.get(pos, 1) * p ** (e_next - e)
     out = []
     prev = 0
-    for b in sorted(boundaries):
-        if b == prev:
-            continue
-        factor = 1
-        for p in primes:
-            for run, e in per_prime[p]:
-                if prev < run:
-                    factor *= p ** e
-                    break
-        if out and out[-1][0] == factor:
-            out[-1] = (factor, out[-1][1] + (b - prev))
-        else:
-            out.append((factor, b - prev))
-        prev = b
+    for pos in sorted(steps):
+        out.append((factor, pos - prev))
+        factor *= steps[pos]
+        prev = pos
+    out.append((factor, total - prev))
     return tuple(out)
+
+
+def invariant_factor_rle(counts: dict) -> tuple:
+    """Invariant factors of a diagonal matrix given as value -> multiplicity,
+    returned run-length encoded as (factor, count) pairs in chain order;
+    multiplicities may be astronomically large."""
+    merged: dict = {}
+    for v, c in counts.items():
+        if c:
+            merged[abs(v)] = merged.get(abs(v), 0) + c
+    if 0 in merged:
+        raise ValueError("zero entry in a nonzero-diagonal multiset")
+    total = sum(merged.values())
+    if total == 0:
+        return ()
+    return _positional_merge(_valuation_tables(merged), total)
 
 
 @dataclass(frozen=True)
@@ -415,8 +439,8 @@ class SmithGroupSummary:
 def eigenvalue_diagonal(n: int) -> dict:
     """Multiset of cube eigenvalues n - 2*l with multiplicity C(n, l)."""
     out: dict = {}
-    for level in range(n + 1):
-        out[n - 2 * level] = out.get(n - 2 * level, 0) + comb(n, level)
+    for level, mult in enumerate(_binomial_row(n, n)):
+        out[n - 2 * level] = out.get(n - 2 * level, 0) + mult
     return out
 
 
@@ -430,8 +454,9 @@ def smith_group(n: int) -> SmithGroupSummary:
         raise ValueError(f"n must be >= 1, got {n}")
     if n % 2 == 0:
         m = n // 2
-        return SmithGroupSummary(n, comb(n, m),
-                                 {k: 2 * comb(n, m - k) for k in range(1, m + 1)})
+        binom = _binomial_row(n, m)
+        return SmithGroupSummary(n, binom[m],
+                                 {k: 2 * binom[m - k] for k in range(1, m + 1)})
     nonzero: dict = {}
     for v, cnt in eigenvalue_diagonal(n).items():
         nonzero[abs(v)] = nonzero.get(abs(v), 0) + cnt
@@ -457,44 +482,11 @@ def smith_group_reduction(n: int) -> SmithGroupSummary:
     if n % 2:
         return smith_group(n)
     m = n // 2
-    rank = (1 << n) - comb(n, m)
-    two_part = two_local_divisors_of_M(n)
-    counts_by_prime = {2: {e: 2 * c for e, c in two_part.mult.items()}}
-    for p in range(3, n + 1, 2):
-        if not is_prime(p):
-            continue
-        by_exp: dict = {}
-        for v, cnt in eigenvalue_diagonal(n).items():
-            if v:
-                e = valuation(v, p)
-                by_exp[e] = by_exp.get(e, 0) + cnt
-        counts_by_prime[p] = by_exp
-    # reassemble a diagonal multiset positionally from the per-prime tables
-    boundaries = {rank}
-    per_prime = {}
-    for p, by_exp in counts_by_prime.items():
-        assert sum(by_exp.values()) == rank
-        cum = []
-        run = 0
-        for e in sorted(by_exp):
-            run += by_exp[e]
-            cum.append((run, e))
-            boundaries.add(run)
-        per_prime[p] = cum
-    nonzero: dict = {}
-    prev = 0
-    for b in sorted(boundaries):
-        if b == prev:
-            continue
-        value = 1
-        for p, cum in per_prime.items():
-            for run, e in cum:
-                if prev < run:
-                    value *= p ** e
-                    break
-        nonzero[value] = nonzero.get(value, 0) + (b - prev)
-        prev = b
-    return SmithGroupSummary(n, comb(n, m), nonzero)
+    free_rank = comb(n, m)
+    rank = (1 << n) - free_rank
+    tables = _valuation_tables({v: c for v, c in eigenvalue_diagonal(n).items() if v})
+    tables[2] = {e: 2 * c for e, c in two_local_divisors_of_M(n).mult.items()}
+    return SmithGroupSummary(n, free_rank, dict(_positional_merge(tables, rank)))
 
 
 def same_group(a: SmithGroupSummary, b: SmithGroupSummary) -> bool:
@@ -512,9 +504,10 @@ def verify_conjecture(n: int, oracle_cap: int = 10,
     of eigenvalues exactly divisible by 2^(i+1); n even.
 
     The divisor side comes from the elimination oracle up to oracle_cap and
-    from the proven diagonal form beyond it.
+    from the recursive 2-local reduction of the half block M beyond it (M
+    and N share their Smith data, so every multiplicity counts twice).
     """
-    m = _require_even(n)
+    _require_even(n)
     if n <= oracle_cap:
         from .bigmat import p_elementary_divisors
         from .cube import adjacency
@@ -522,11 +515,9 @@ def verify_conjecture(n: int, oracle_cap: int = 10,
         divisor_side = {e: c for e, c in table.mult.items() if c}
         free = table.free_rank
     else:
-        divisor_side = {}
-        for k in range(1, m + 1):
-            e = valuation(k, 2)
-            divisor_side[e] = divisor_side.get(e, 0) + 2 * comb(n, m - k)
-        free = comb(n, m)
+        half = two_local_divisors_of_M(n).mult
+        divisor_side = {e: 2 * c for e, c in half.items() if c}
+        free = (1 << n) - 2 * sum(half.values())
     eigen_side: dict = {}
     zero_eigen = 0
     for v, cnt in eigenvalue_diagonal(n).items():

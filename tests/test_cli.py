@@ -52,7 +52,22 @@ def test_text_and_csv_formats(capsys):
     assert "free_rank 6" in out.splitlines()
     code, out, _ = run(capsys, "smith-group", "4", "--format", "csv")
     assert code == 0
-    assert out.splitlines()[:2] == ["value,multiplicity", "0,6"]
+    assert out == "value,multiplicity\n0,6\n1,8\n2,2\n"
+
+
+def test_verify_csv_reports_status(capsys):
+    code, out, _ = run(capsys, "verify", "half", "4", "--format", "csv")
+    assert code == 0
+    assert out == "command,status\nverify,ok\n"
+
+
+def test_verify_n_below_one_is_usage_error(capsys):
+    for target in ("bier", "conjecture", "half", "conjugacy", "laplacian"):
+        for n in ("0", "-2"):
+            code, out, err = run(capsys, "verify", target, n)
+            assert code == 1, (target, n)
+            assert out == ""
+            assert err.startswith("error: ")
 
 
 def test_verify_commands(capsys):
@@ -116,6 +131,26 @@ def test_oracle_cap_flag_and_env(capsys, monkeypatch):
     code, _, err = run(capsys, "smith-group", "8", "--method", "oracle")
     assert code == 1
     assert "n <= 6" in err
+
+
+def test_bad_cap_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SMITHCUBE_CAP", "abc")
+    for argv in (("smith-group", "4"), ("verify", "conjecture", "4")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == "error: SMITHCUBE_CAP must be an integer, got 'abc'\n"
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "x")
+    for argv in (("smith-group", "4"), ("verify", "half", "4"),
+                 ("matrix", "W", "4", "1", "2")):
+        code, out, err = run(capsys, *argv, "--out", missing)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith(f"error: cannot write {missing}: ")
+        assert len(err.splitlines()) == 1
 
 
 def test_cross_check_mismatch_exits_2(capsys, monkeypatch):

@@ -3,7 +3,9 @@ from math import comb
 
 import pytest
 
-from smithcube.bigmat import IntMatrix, p_elementary_divisors, snf
+from smithcube import reduction
+from smithcube.bigmat import (ElemDivTable, IntMatrix, p_elementary_divisors,
+                              snf)
 from smithcube.canonical import wilson_form
 from smithcube.cube import adjacency, blocks
 from smithcube.reduction import (CondensedMatrix, build_B, build_condensed,
@@ -187,16 +189,29 @@ def test_oracle_matches_closed_form():
 
 
 def test_reduction_matches_closed_form():
-    for n in range(1, 13):
+    for n in range(1, 65):
         assert same_group(smith_group_reduction(n), smith_group(n)), n
 
 
 def test_conjecture():
     # the elimination oracle supplies the divisor side up to n = 8; beyond
-    # that the proven diagonal form stands in (full n = 10 oracle run is in
+    # that the 2-local reduction of M does (full n = 10 oracle run is in
     # the slow tier below)
-    for n in range(2, 13, 2):
+    for n in range(2, 65, 2):
         assert verify_conjecture(n, oracle_cap=8), n
+
+
+def test_conjecture_above_cap_checks_the_reduction(monkeypatch):
+    # above the oracle cap the divisor side is the reduction's table; a
+    # table off by one divisor (same rank) must be caught
+    n = 12
+    good = two_local_divisors_of_M(n).mult
+    bad = dict(good)
+    bad[0] -= 1
+    bad[1] += 1
+    monkeypatch.setattr(reduction, "two_local_divisors_of_M",
+                        lambda _n: ElemDivTable(2, bad, 0))
+    assert not verify_conjecture(n, oracle_cap=8)
 
 
 def test_eigenvalue_diagonal():
