@@ -29,7 +29,10 @@ class IntMatrix:
             cols = 0 if cols is None else cols
         for row in data:
             for x in row:
-                if not isinstance(x, int):
+                # the exact type test keeps the common case cheap; bool is an
+                # int subclass but never a matrix entry
+                if type(x) is not int and (isinstance(x, bool)
+                                           or not isinstance(x, int)):
                     raise TypeError(f"non-integer entry {x!r}")
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", cols)
@@ -252,74 +255,88 @@ def diagonal_form_to_invariant_factors(d: DiagonalForm) -> InvariantFactors:
                             d.zero_count)
 
 
-def _eliminate(a: list) -> list:
-    """Diagonalize an integer matrix in place by unimodular row/column
-    operations; returns the list of nonzero diagonal entries produced.
+def _eliminate(m: IntMatrix) -> list:
+    """Diagonalize an integer matrix by unimodular row and column operations
+    on a sparse copy; returns the list of nonzero diagonal entries produced.
 
-    Pivoting picks the minimal-absolute-value entry of the pivot column and
-    alternates row and column reduction until the pivot's row and column are
-    clean.  The pivot magnitude strictly decreases on every retry, so the
-    loop terminates.
+    Each row is a {col: value} dict, and a column -> row-set index mirrors
+    them.  The pivot is an active entry of the smallest absolute value,
+    ties going to the least Markowitz cost (row length - 1) * (column
+    length - 1).  Rows are visited shortest first, and the search stops once
+    no longer row can beat the best unit pivot found.
+
+    Row operations with the pivot row clear the pivot column; column
+    operations then reduce the pivot row, and they touch only that row
+    because its column is already clean.  Both passes take the nearest
+    quotient, so each remainder is at most half the pivot in absolute value,
+    which keeps coefficients small.  A nonzero remainder left by either
+    pass, the smallest first, becomes the new pivot.  Pivots thus strictly
+    shrink in absolute value, so the loop terminates.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    rows: dict = {}
+    cols: dict = {}
+    for i, row in enumerate(m._data):
+        entries = {j: v for j, v in enumerate(row) if v}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
     diag = []
-    r = 0
-    while r < rows and r < cols:
-        # first column with a nonzero entry in the active submatrix
-        pc = -1
-        for j in range(r, cols):
-            for i in range(r, rows):
-                if a[i][j]:
-                    pc = j
-                    break
-            if pc >= 0:
+    while rows:
+        cmin = min(map(len, cols.values())) - 1
+        best = cost = pr = pc = None
+        for r in sorted(rows, key=lambda r: len(rows[r])):
+            row = rows[r]
+            lr = len(row) - 1
+            if best == 1 and lr * cmin >= cost:
                 break
-        if pc < 0:
-            break
-        if pc != r:
-            for row in a:
-                row[r], row[pc] = row[pc], row[r]
+            for c, v in row.items():
+                a = abs(v)
+                if best is None or a < best or (
+                        a == best and lr * (len(cols[c]) - 1) < cost):
+                    best, cost, pr, pc = a, lr * (len(cols[c]) - 1), r, c
         while True:
-            pi = min((i for i in range(r, rows) if a[i][r]),
-                     key=lambda i: abs(a[i][r]))
-            if pi != r:
-                a[pi], a[r] = a[r], a[pi]
-            p = a[r][r]
-            ar = a[r]
-            dirty = False
-            for i in range(r + 1, rows):
-                v = a[i][r]
-                if v:
-                    q = v // p
-                    if q:
-                        ai = a[i]
-                        ai[r:] = [x - q * y for x, y in zip(ai[r:], ar[r:])]
-                    if a[i][r]:
-                        dirty = True
-            if dirty:
+            prow = rows[pr]
+            p = prow[pc]
+            for r in [r for r in cols[pc] if r != pr]:
+                row = rows[r]
+                q, rem = divmod(row[pc], p)
+                if 2 * abs(rem) > abs(p):
+                    q += 1
+                if q:
+                    for c, x in prow.items():
+                        y = row.get(c, 0) - q * x
+                        if y:
+                            row[c] = y
+                            cols[c].add(r)
+                        else:
+                            del row[c]
+                            cols[c].discard(r)
+                    if not row:
+                        del rows[r]
+            left = [r for r in cols[pc] if r != pr]
+            if left:
+                pr = min(left, key=lambda r: abs(rows[r][pc]))
                 continue
-            # column r is clean below the pivot, so reducing the pivot row
-            # by column operations only touches row r
-            bad = -1
-            for j in range(r + 1, cols):
-                v = ar[j]
-                if v:
-                    ar[j] = v - (v // p) * p
-                    if ar[j]:
-                        bad = j
-            if bad < 0:
+            for c in [c for c in prow if c != pc]:
+                rem = prow[c] % p
+                prow[c] = rem - p if 2 * abs(rem) > abs(p) else rem
+                if not prow[c]:
+                    del prow[c]
+                    cols[c].discard(pr)
+                    if not cols[c]:
+                        del cols[c]
+            if len(prow) == 1:
                 diag.append(p)
-                r += 1
+                del rows[pr], cols[pc]
                 break
-            for row in a:
-                row[r], row[bad] = row[bad], row[r]
+            pc = min((c for c in prow if c != pc), key=lambda c: abs(prow[c]))
     return diag
 
 
 def snf(m: IntMatrix) -> InvariantFactors:
     """Smith normal form diagonal of an arbitrary integer matrix."""
-    diag = _eliminate(m.row_lists())
+    diag = _eliminate(m)
     factors = _divisibility_chain(diag)
     return InvariantFactors(tuple(factors), min(m.rows, m.cols) - len(factors))
 
@@ -362,16 +379,6 @@ def p_elementary_divisors(m: IntMatrix, p: int) -> ElemDivTable:
     return ElemDivTable(p, mult, inv.zero_count)
 
 
-def invariant_factors_to_table(inv: InvariantFactors, p: int) -> ElemDivTable:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    mult: dict = {}
-    for d in inv.factors:
-        e = valuation(d, p)
-        mult[e] = mult.get(e, 0) + 1
-    return ElemDivTable(p, mult, inv.zero_count)
-
-
 def is_unimodular(m: IntMatrix) -> bool:
     """True iff m is square with determinant +-1."""
     if m.rows != m.cols:
@@ -396,7 +403,10 @@ def to_text(m: IntMatrix) -> str:
 
 
 def from_text(text: str) -> IntMatrix:
-    """Parse the sparse-triple format; exact inverse of :func:`to_text`."""
+    """Parse the sparse-triple format; exact inverse of :func:`to_text`.
+
+    Strict: each (i, j) appears at most once and nothing but blank lines
+    may follow the terminator."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
@@ -404,15 +414,21 @@ def from_text(text: str) -> IntMatrix:
     if rows < 0 or cols < 0:
         raise ValueError("negative dimensions in header")
     data = [[0] * cols for _ in range(rows)]
+    seen = set()
     terminated = False
     for ln in lines[1:]:
+        if terminated:
+            raise ValueError(f"line after the 0 0 0 terminator: {ln.strip()!r}")
         i, j, v = ln.split()
         i, j, v = int(i), int(j), int(v)
         if (i, j, v) == (0, 0, 0):
             terminated = True
-            break
+            continue
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ValueError(f"entry ({i}, {j}) out of bounds")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate entry ({i}, {j})")
+        seen.add((i, j))
         data[i - 1][j - 1] = v
     if not terminated:
         raise ValueError("missing 0 0 0 terminator")

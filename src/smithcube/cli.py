@@ -96,8 +96,13 @@ def _cmd_smith_group(args) -> int:
                 return 1
             summaries = {"oracle": reduction.smith_group_oracle(n, size_cap=max(n, 14))}
         else:  # all
-            summaries = {"closed": reduction.smith_group(n),
-                         "reduction": reduction.smith_group_reduction(n)}
+            if n % 2 and n > cap:
+                print(f"error: odd n = {n} is above the oracle cap {cap}, so no "
+                      "route checks the closed form", file=sys.stderr)
+                return 1
+            summaries = {"closed": reduction.smith_group(n)}
+            if n % 2 == 0:
+                summaries["reduction"] = reduction.smith_group_reduction(n)
             if n <= cap:
                 summaries["oracle"] = reduction.smith_group_oracle(n, size_cap=max(n, 14))
     except ValueError as exc:

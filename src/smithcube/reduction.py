@@ -145,7 +145,8 @@ class CondensedMatrix:
     Rows are labeled (i, k) with 1 <= k <= i <= m; columns (j, l) with
     0 <= j <= m, 1 <= l <= j + 1.  Row (i, k) holds an even entry at column
     (i-1, k) and the exact value i+1-k at column (i, k).  The weight of row
-    (i, k) is the number of matrix rows the block row stands for.
+    (i, k) is the number of matrix rows the block row stands for.  Every
+    instance is validated once, on construction.
     """
     m: int
     entries: dict  # (row_label, col_label) -> Fraction, odd denominators
@@ -162,6 +163,9 @@ class CondensedMatrix:
 
     def diagonal_value(self, i: int, k: int) -> int:
         return i + 1 - k
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         rows = set(self.row_labels())
@@ -200,6 +204,8 @@ def build_condensed(m: int, n: int | None = None) -> CondensedMatrix:
         raise ValueError(f"m must be >= 0, got {m}")
     if n is None:
         n = 2 * m
+    if n % 2 or n < 2 * m:
+        raise ValueError(f"n must be even and >= 2m = {2 * m}, got {n}")
     binom = _binomial_row(n, m)
     # row (i, k) stands for column_multiplicity(n, k - 1) rows, whatever i is
     weight_of_k = {k: binom[k - 1] - (binom[k - 2] if k >= 2 else 0)
@@ -212,9 +218,7 @@ def build_condensed(m: int, n: int | None = None) -> CondensedMatrix:
             entries[((i, k), (i - 1, k))] = even
             entries[((i, k), (i, k))] = Fraction(i + 1 - k)
             weights[(i, k)] = weight_of_k[k]
-    c = CondensedMatrix(m, entries, weights)
-    c.validate()
-    return c
+    return CondensedMatrix(m, entries, weights)
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,6 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
     rows and columns split by parity of the block index into two copies of
     the half-size shadow, scaled by 2.
     """
-    c.validate()
     m = c.m
     rows: dict = {r: {} for r in c.row_labels()}
     cols: dict = {cl: set() for cl in c.col_labels()}
@@ -302,9 +305,7 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
                 assert j % 2 == parity, "entry crossing the parity split"
                 half = v / 2
                 entries[(nr, map_col(cl))] = half
-        res = CondensedMatrix(new_m, entries, weights)
-        res.validate()
-        return res
+        return CondensedMatrix(new_m, entries, weights)
 
     step = ReductionStep(tuple(odd_out), residual(0, m // 2),
                          residual(1, (m - 1) // 2))
@@ -476,12 +477,11 @@ def smith_group_oracle(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> SmithGroupSu
 def smith_group_reduction(n: int) -> SmithGroupSummary:
     """Smith group assembled from the structural routes: the recursive
     condensed reduction for the 2-part (doubled across the two half blocks)
-    and the eigenvalue diagonal for every odd prime."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n % 2:
-        return smith_group(n)
-    m = n // 2
+    and the eigenvalue diagonal for every odd prime; n even.
+
+    For odd n the eigenvalue diagonal is already the closed form, so there
+    is no structural route to assemble and odd n is rejected."""
+    m = _require_even(n)
     free_rank = comb(n, m)
     rank = (1 << n) - free_rank
     tables = _valuation_tables({v: c for v, c in eigenvalue_diagonal(n).items() if v})

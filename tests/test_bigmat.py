@@ -102,6 +102,8 @@ def test_constructors_and_errors():
         m[0, -1]
     with pytest.raises(TypeError):
         IntMatrix([[1.5]])
+    with pytest.raises(TypeError, match="True"):
+        IntMatrix([[1, True]])
     with pytest.raises(ValueError):
         IntMatrix([[1], [2, 3]])
 
@@ -141,6 +143,13 @@ def test_text_parse_errors():
         from_text("2 2\n3 1 1\n0 0 0\n")  # out of bounds
     with pytest.raises(ValueError):
         from_text("")
+    with pytest.raises(ValueError, match=r"duplicate entry \(1, 1\)"):
+        from_text("2 2\n1 1 5\n1 1 7\n0 0 0\n")
+    with pytest.raises(ValueError, match="after the 0 0 0 terminator"):
+        from_text("2 2\n1 1 5\n0 0 0\n2 2 1\n")
+    with pytest.raises(ValueError, match="after the 0 0 0 terminator"):
+        from_text("2 2\n0 0 0\n\n0 0 0\n")
+    assert from_text("2 2\n1 1 5\n0 0 0\n\n  \n") == IntMatrix([[5, 0], [0, 0]])
 
 
 def _random_matrix(rng, rows, cols, lo=-6, hi=6):

@@ -30,6 +30,18 @@ def test_smith_group_odd_n(capsys):
     assert sum(e["multiplicity"] for e in report["entries"]) == 8
 
 
+def test_smith_group_odd_n_without_second_route(capsys):
+    code, out, err = run(capsys, "smith-group", "9", "--method", "reduction")
+    assert (code, out) == (1, "")
+    assert err == "error: even n >= 2 required, got 9\n"
+    code, out, err = run(capsys, "smith-group", "131", "--method", "all")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: odd n = 131 is above the oracle cap 10")
+    assert len(err.splitlines()) == 1
+    assert run(capsys, "smith-group", "7", "--method", "all", "--cap", "6")[0] == 1
+    assert run(capsys, "smith-group", "7", "--method", "all", "--cap", "7")[0] == 0
+
+
 def test_smith_group_n100_closed(capsys):
     code, out, _ = run(capsys, "smith-group", "100", "--method", "closed")
     assert code == 0

@@ -1,10 +1,13 @@
-"""Property tests for the closed-form helpers of smithcube.reduction."""
-from math import comb
+"""Property tests for the exact integer layer and the closed-form helpers."""
+from functools import reduce
+from itertools import combinations
+from math import comb, gcd
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smithcube.bigmat import _divisibility_chain, valuation
+from smithcube.bigmat import (IntMatrix, _divisibility_chain, from_text, snf,
+                              to_text, valuation)
 from smithcube.reduction import (_binomial_row, _positional_merge,
                                  invariant_factor_rle)
 
@@ -48,3 +51,56 @@ def test_positional_merge_matches_divisibility_chain(counts):
         tables[p] = table
     assert (_positional_merge(tables, len(expanded))
             == _rle(_divisibility_chain(expanded)))
+
+
+@st.composite
+def int_matrices(draw, max_side, elements):
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    data = draw(st.lists(st.lists(elements, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return IntMatrix(data, cols)
+
+
+@given(int_matrices(4, st.integers(-6, 6)))
+def test_snf_matches_determinantal_divisors(m):
+    # d_k is the gcd of all k x k minors, and the k-th invariant factor is
+    # d_k / d_(k-1); the rank is the largest k with d_k != 0
+    factors = []
+    prev = 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        d = reduce(gcd, (m.submatrix(ri, ci).determinant()
+                         for ri in combinations(range(m.rows), k)
+                         for ci in combinations(range(m.cols), k)), 0)
+        if d == 0:
+            break
+        factors.append(d // prev)
+        prev = d
+    inv = snf(m)
+    assert inv.factors == tuple(factors)
+    assert inv.zero_count == min(m.rows, m.cols) - len(factors)
+
+
+SIDE = 24
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, SIDE - 1),
+                                 st.integers(0, SIDE - 1)),
+                       st.sampled_from((1, -1)), max_size=3 * SIDE),
+       st.permutations(range(SIDE)), st.permutations(range(SIDE)),
+       st.lists(st.sampled_from((1, -1)), min_size=SIDE, max_size=SIDE))
+def test_snf_invariant_under_signed_relabelling(entries, row_perm, col_perm,
+                                                signs):
+    # a signed row permutation and an independent column permutation are
+    # unimodular, and they change every pivot tie-break of the elimination
+    data = [[0] * SIDE for _ in range(SIDE)]
+    moved = [[0] * SIDE for _ in range(SIDE)]
+    for (i, j), v in entries.items():
+        data[i][j] = v
+        moved[row_perm[i]][col_perm[j]] = signs[i] * v
+    assert snf(IntMatrix(moved)) == snf(IntMatrix(data))
+
+
+@given(int_matrices(5, st.integers()))
+def test_to_text_from_text_round_trip(m):
+    assert from_text(to_text(m)) == m
