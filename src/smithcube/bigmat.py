@@ -7,8 +7,12 @@ values, which makes them safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
+
+
+_PLAIN_INT = frozenset({int})
 
 
 class IntMatrix:
@@ -28,9 +32,12 @@ class IntMatrix:
         else:
             cols = 0 if cols is None else cols
         for row in data:
+            # a row of plain ints passes at C speed; any other row gets the
+            # per-entry test, under which bool (an int subclass, but never a
+            # matrix entry) is refused and other int subclasses pass
+            if set(map(type, row)) <= _PLAIN_INT:
+                continue
             for x in row:
-                # the exact type test keeps the common case cheap; bool is an
-                # int subclass but never a matrix entry
                 if type(x) is not int and (isinstance(x, bool)
                                            or not isinstance(x, int)):
                     raise TypeError(f"non-integer entry {x!r}")
@@ -87,21 +94,23 @@ class IntMatrix:
     # -- arithmetic -------------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Product that touches nonzeros only.
+
+        Each row of `other` is listed once as its (col, value) pairs; each
+        row of `self` then walks its own nonzeros and adds the listed pairs
+        of the rows they select into one accumulator.  The cost is the
+        number of nonzero pairs that meet, not rows * cols * other.cols.
+        """
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch {self.cols} != {other.rows}")
-        bdata = other._data
         width = other.cols
-        zero = [0] * width
+        pairs = [list(compress(enumerate(row), row)) for row in other._data]
         out = []
         for row in self._data:
-            acc = list(zero)
-            for j, v in enumerate(row):
-                if v:
-                    brow = bdata[j]
-                    if v == 1:
-                        acc = [a + b for a, b in zip(acc, brow)]
-                    else:
-                        acc = [a + v * b for a, b in zip(acc, brow)]
+            acc = [0] * width
+            for j, v in compress(enumerate(row), row):
+                for c, b in pairs[j]:
+                    acc[c] += v * b
             out.append(acc)
         return IntMatrix(out, width)
 

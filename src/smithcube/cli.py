@@ -94,7 +94,7 @@ def _cmd_smith_group(args) -> int:
             if n > cap:
                 print(f"oracle method limited to n <= {cap}", file=sys.stderr)
                 return 1
-            summaries = {"oracle": reduction.smith_group_oracle(n, size_cap=max(n, 14))}
+            summaries = {"oracle": reduction.smith_group_oracle(n)}
         else:  # all
             if n % 2 and n > cap:
                 print(f"error: odd n = {n} is above the oracle cap {cap}, so no "
@@ -104,7 +104,7 @@ def _cmd_smith_group(args) -> int:
             if n % 2 == 0:
                 summaries["reduction"] = reduction.smith_group_reduction(n)
             if n <= cap:
-                summaries["oracle"] = reduction.smith_group_oracle(n, size_cap=max(n, 14))
+                summaries["oracle"] = reduction.smith_group_oracle(n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .bigmat import IntMatrix, block_diag, snf
+from .bigmat import IntMatrix, snf
 from .subsets import COMPLEMENT, SubsetOrder, enumerate_subsets, incidence_matrix
 
 # 2^n-sized dense constructions above this are refused by default
@@ -102,9 +102,17 @@ def zeta_matrix(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> IntMatrix:
 
 
 def laplacian(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> IntMatrix:
-    """n*I - A; exposed for the degree-matrix congruence report only."""
+    """n*I - A; exposed for the degree-matrix congruence report only.
+
+    Built in one pass over the rows of A, whose diagonal is zero.
+    """
     a = adjacency(n, size_cap).matrix
-    return IntMatrix.identity(a.rows).scale(n) - a
+    data = []
+    for i in range(a.rows):
+        row = [-x for x in a.row(i)]
+        row[i] = n
+        data.append(row)
+    return IntMatrix(data, a.cols)
 
 
 def verify_conjugacy(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
@@ -243,8 +251,3 @@ def verify_half_lemma(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
     fixed = _alternating_sign_fix(n_prime(n, size_cap), n)
     return fixed == pair.M
 
-
-def dual_monomial_adjacency(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> IntMatrix:
-    """block_diag(M, N): the monomial matrix under the dual orderings."""
-    pair = blocks(n, size_cap)
-    return block_diag(pair.M, pair.N)

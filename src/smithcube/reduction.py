@@ -17,7 +17,7 @@ from math import comb
 from .bigmat import (ElemDivTable, IntMatrix, InvariantFactors, block_diag,
                      snf, valuation)
 from .canonical import build_E, wilson_form
-from .cube import DEFAULT_SIZE_CAP, blocks
+from .cube import DEFAULT_SIZE_CAP, _check_n
 
 
 def _require_even(n: int) -> int:
@@ -32,11 +32,6 @@ def _binomial_row(n: int, k: int) -> list:
     for j in range(k):
         row.append(row[-1] * (n - j) // (j + 1))
     return row
-
-
-def column_multiplicity(n: int, j: int) -> int:
-    """C(n,j) - C(n,j-1): number of full-rank j-subsets."""
-    return comb(n, j) - (comb(n, j - 1) if j >= 1 else 0)
 
 
 def telescoped_multiplicity(n: int, k: int) -> int:
@@ -58,73 +53,32 @@ def stacked_basis(n: int, k: int) -> IntMatrix:
     return block_diag(*(build_E(n, j).matrix for j in range(k + 1)))
 
 
-def _solve_right(c: IntMatrix, e: IntMatrix) -> IntMatrix:
-    """Solve X * e = c exactly for unimodular e; the solution is integral."""
-    if e.rows != e.cols or c.cols != e.rows:
-        raise ValueError("dimension mismatch in solve")
-    size = e.rows
-    # Gaussian elimination over the rationals on e^T augmented with c^T
-    aug = [[Fraction(x) for x in row] for row in e.transpose().row_lists()]
-    rhs = [[Fraction(x) for x in row] for row in c.transpose().row_lists()]
-    for col in range(size):
-        piv = next(i for i in range(col, size) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        rhs[col] = [x * inv for x in rhs[col]]
-        for i in range(size):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-                rhs[i] = [x - f * y for x, y in zip(rhs[i], rhs[col])]
-    data = []
-    for j in range(c.rows):
-        row = [rhs[i][j] for i in range(size)]
-        if any(x.denominator != 1 for x in row):
-            raise ArithmeticError("non-integral solution against a unimodular matrix")
-        data.append([int(x) for x in row])
-    return IntMatrix(data, size)
-
-
 def build_B(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> IntMatrix:
-    """E(m-1) * M * E(m)^{-1}, computed blockwise without inversion."""
+    """The conjugated half block B = E(m-1) M E(m)^{-1}, in closed form.
+
+    Block (i, i) of M is (n - 2i) I and block (i, i+1) is the inclusion
+    matrix W_{i,i+1}; every other block is zero.  Conjugating by the
+    block-diagonal bases keeps (n - 2i) I, and Bier's identity
+    E_i W_{i,i+1} = D_{i,i+1} E_{i+1} turns the superdiagonal block into
+    the Wilson form D_{i,i+1}.  So B is assembled from those blocks
+    directly, with no product and no inversion.
+    """
     m = _require_even(n)
-    big_m = blocks(n, size_cap).M
-    lhs = stacked_basis(n, m - 1) @ big_m
-    out_blocks = []
-    off = 0
-    for k in range(m + 1):
-        width = comb(n, k)
-        c_block = lhs.submatrix(range(lhs.rows), range(off, off + width))
-        out_blocks.append(_solve_right(c_block, build_E(n, k).matrix))
-        off += width
+    _check_n(n, size_cap)
+    sizes = _binomial_row(n, m)
+    width = sum(sizes)
     data = []
-    for i in range(lhs.rows):
-        row = []
-        for b in out_blocks:
-            row.extend(b.row(i))
-        data.append(row)
-    return IntMatrix(data, off)
-
-
-def zero_diagonal(mat: IntMatrix) -> IntMatrix:
-    data = mat.row_lists()
-    for i in range(min(mat.rows, mat.cols)):
-        data[i][i] = 0
-    return IntMatrix(data, mat.cols)
-
-
-def closed_form_multiplicities_of_M(n: int) -> dict:
-    """Nonzero diagonal entries of a diagonal form of M: k -> C(n, m-k)."""
-    m = _require_even(n)
-    return {k: comb(n, m - k) for k in range(1, m + 1)}
-
-
-def surplus_columns_of_M(n: int) -> int:
-    """Columns of M beyond its rank: C(n, m)."""
-    m = _require_even(n)
-    return comb(n, m)
+    off = 0
+    for i in range(m):
+        d = wilson_form(n, i, i + 1).matrix
+        sup = off + sizes[i]
+        for r in range(sizes[i]):
+            row = [0] * width
+            row[off + r] = n - 2 * i
+            row[sup:sup + sizes[i + 1]] = d.row(r)
+            data.append(row)
+        off = sup
+    return IntMatrix(data, width)
 
 
 # -- the condensed block shadow -------------------------------------------
@@ -207,7 +161,7 @@ def build_condensed(m: int, n: int | None = None) -> CondensedMatrix:
     if n % 2 or n < 2 * m:
         raise ValueError(f"n must be even and >= 2m = {2 * m}, got {n}")
     binom = _binomial_row(n, m)
-    # row (i, k) stands for column_multiplicity(n, k - 1) rows, whatever i is
+    # row (i, k) stands for count_full_rank(n, k - 1) rows, whatever i is
     weight_of_k = {k: binom[k - 1] - (binom[k - 2] if k >= 2 else 0)
                    for k in range(1, m + 1)}
     entries = {}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smithcube import cli, reduction
+from smithcube import cli, cube, reduction
 from smithcube.bigmat import IntMatrix, from_text
 
 
@@ -143,6 +143,19 @@ def test_oracle_cap_flag_and_env(capsys, monkeypatch):
     code, _, err = run(capsys, "smith-group", "8", "--method", "oracle")
     assert code == 1
     assert "n <= 6" in err
+
+
+def test_oversized_oracle_refused_before_any_matrix(capsys, monkeypatch):
+    # a raised oracle cap does not lift the size cap of the dense cube
+    # matrices; the refusal comes before a vertex list is built
+    def no_build(n):
+        raise AssertionError(f"a 2^{n}-vertex matrix was started")
+    monkeypatch.setattr(cube, "vertex_order", no_build)
+    for n, method in ((15, "oracle"), (15, "all"), (16, "all")):
+        code, out, err = run(capsys, "smith-group", str(n), "--method", method,
+                             "--cap", "20")
+        assert (code, out) == (1, ""), (n, method)
+        assert err == f"error: n={n} exceeds the size cap 14\n"
 
 
 def test_bad_cap_env_is_usage_error(capsys, monkeypatch):

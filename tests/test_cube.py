@@ -3,10 +3,9 @@ from math import comb
 import pytest
 
 from smithcube.bigmat import IntMatrix, snf
-from smithcube.cube import (adjacency, blocks, dual_monomial_adjacency,
-                            laplacian, monomial_adjacency, n_prime,
-                            verify_conjugacy, verify_half_lemma, vertex_order,
-                            zeta_matrix)
+from smithcube.cube import (adjacency, blocks, laplacian, monomial_adjacency,
+                            n_prime, verify_conjugacy, verify_half_lemma,
+                            vertex_order, zeta_matrix)
 
 # displayed lower half block of the 4-cube's monomial-basis matrix
 M4 = IntMatrix([[4, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
@@ -83,11 +82,6 @@ def test_blocks_match_display_n4():
 def test_blocks_require_even():
     with pytest.raises(ValueError):
         blocks(3)
-
-
-def test_dual_monomial_matches_monomial_smith_data():
-    for n in (4, 6):
-        assert snf(dual_monomial_adjacency(n)) == snf(monomial_adjacency(n).matrix)
 
 
 def test_half_lemma():

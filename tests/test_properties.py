@@ -1,8 +1,10 @@
 """Property tests for the exact integer layer and the closed-form helpers."""
+from enum import IntEnum
 from functools import reduce
 from itertools import combinations
 from math import comb, gcd
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ from smithcube.bigmat import (IntMatrix, _divisibility_chain, from_text, snf,
                               to_text, valuation)
 from smithcube.reduction import (_binomial_row, _positional_merge,
                                  invariant_factor_rle)
+from smithcube.subsets import colex_rank, colex_unrank
 
 # small value -> multiplicity multisets, so the expanded diagonal stays short
 small_counts = st.dictionaries(st.integers(-60, 60).filter(bool),
@@ -53,13 +56,16 @@ def test_positional_merge_matches_divisibility_chain(counts):
             == _rle(_divisibility_chain(expanded)))
 
 
+def _grid(draw, rows, cols, elements):
+    return draw(st.lists(st.lists(elements, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
 @st.composite
 def int_matrices(draw, max_side, elements):
     rows = draw(st.integers(0, max_side))
     cols = draw(st.integers(0, max_side))
-    data = draw(st.lists(st.lists(elements, min_size=cols, max_size=cols),
-                         min_size=rows, max_size=rows))
-    return IntMatrix(data, cols)
+    return IntMatrix(_grid(draw, rows, cols, elements), cols)
 
 
 @given(int_matrices(4, st.integers(-6, 6)))
@@ -104,3 +110,50 @@ def test_snf_invariant_under_signed_relabelling(entries, row_perm, col_perm,
 @given(int_matrices(5, st.integers()))
 def test_to_text_from_text_round_trip(m):
     assert from_text(to_text(m)) == m
+
+
+# often zero, so that zero rows, zero columns and sparse rows occur
+product_entries = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_matmul_matches_triple_loop(rows, inner, cols, data):
+    a = _grid(data.draw, rows, inner, product_entries)
+    b = _grid(data.draw, inner, cols, product_entries)
+    expected = [[sum(a[i][k] * b[k][j] for k in range(inner))
+                 for j in range(cols)] for i in range(rows)]
+    product = IntMatrix(a, inner) @ IntMatrix(b, cols)
+    assert (product.rows, product.cols) == (rows, cols)
+    assert product == IntMatrix(expected, cols)
+
+
+class Level(IntEnum):
+    HIGH = 7
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data(),
+       st.sampled_from((True, False, 1.0, -2.5, "1")))
+def test_intmatrix_rejects_non_integer_entry_anywhere(rows, cols, data, bad):
+    grid = _grid(data.draw, rows, cols, st.integers())
+    i = data.draw(st.integers(0, rows - 1))
+    j = data.draw(st.integers(0, cols - 1))
+    grid[i][j] = bad
+    with pytest.raises(TypeError):
+        IntMatrix(grid, cols)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_intmatrix_accepts_int_subclass_entry(rows, cols, data):
+    grid = _grid(data.draw, rows, cols, st.integers())
+    i = data.draw(st.integers(0, rows - 1))
+    j = data.draw(st.integers(0, cols - 1))
+    grid[i][j] = Level.HIGH
+    assert IntMatrix(grid, cols)[i, j] == 7
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
+def test_colex_unrank_inverts_rank(case):
+    n, elements = case
+    s = tuple(sorted(elements))
+    assert colex_unrank(colex_rank(s), n, len(s)) == s

@@ -9,17 +9,13 @@ from smithcube.bigmat import (ElemDivTable, IntMatrix, p_elementary_divisors,
 from smithcube.canonical import wilson_form
 from smithcube.cube import adjacency, blocks
 from smithcube.reduction import (CondensedMatrix, build_B, build_condensed,
-                                 closed_form_multiplicities_of_M,
-                                 column_multiplicity, eigenvalue_diagonal,
-                                 invariant_factor_rle, laplacian_partial_check,
-                                 reduce_condensed, same_group, smith_group,
-                                 smith_group_oracle, smith_group_reduction,
-                                 stacked_basis, surplus_columns_of_M,
+                                 eigenvalue_diagonal, invariant_factor_rle,
+                                 laplacian_partial_check, reduce_condensed,
+                                 same_group, smith_group, smith_group_oracle,
+                                 smith_group_reduction, stacked_basis,
                                  telescoped_multiplicity,
-                                 two_local_divisors_of_M, verify_conjecture,
-                                 zero_diagonal)
-
-slow = pytest.mark.slow
+                                 two_local_divisors_of_M, verify_conjecture)
+from smithcube.subsets import count_full_rank
 
 # displayed conjugated half block for the 4-cube
 B4 = IntMatrix([[4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -62,6 +58,15 @@ def test_build_B_superdiagonal_blocks_are_wilson_forms():
             assert blk == IntMatrix.zeros(comb(n, i), comb(n, j))
 
 
+def test_build_B_conjugates_M():
+    # E(m-1) M = B E(m): B is M in the canonical bases, checked without
+    # inverting either basis
+    for n in (2, 4, 6, 8, 10):
+        m = n // 2
+        assert (stacked_basis(n, m - 1) @ blocks(n).M
+                == build_B(n) @ stacked_basis(n, m)), n
+
+
 def test_B_is_unimodularly_equivalent_to_M():
     for n in (4, 6):
         assert snf(build_B(n)) == snf(blocks(n).M)
@@ -71,28 +76,11 @@ def test_stacked_basis_shape():
     assert stacked_basis(4, 2).rows == 1 + 4 + 6
 
 
-def test_zero_diagonal():
-    m = IntMatrix([[1, 2, 3], [4, 5, 6]])
-    assert zero_diagonal(m) == IntMatrix([[0, 2, 3], [4, 0, 6]])
-
-
-def test_closed_form_multiplicities():
-    assert closed_form_multiplicities_of_M(4) == {1: 4, 2: 1}
-    assert closed_form_multiplicities_of_M(2) == {1: 1}
-    assert surplus_columns_of_M(4) == 6
-
-
 def test_telescoping():
     for n in range(2, 42, 2):
         m = n // 2
         for k in range(1, m + 1):
             assert telescoped_multiplicity(n, k) == comb(n, m - k)
-
-
-def test_column_multiplicity():
-    assert column_multiplicity(4, 0) == 1
-    assert column_multiplicity(4, 1) == 3
-    assert column_multiplicity(4, 2) == 2
 
 
 def test_build_condensed_shapes():
@@ -142,7 +130,7 @@ def test_reduce_condensed_m2():
     # the surviving row (2,1) has even block index: one half-size copy
     assert step.even_residual.m == 1
     assert step.odd_residual.m == 0
-    assert step.even_residual.row_weights == {(1, 1): column_multiplicity(4, 0)}
+    assert step.even_residual.row_weights == {(1, 1): count_full_rank(4, 0)}
 
 
 def test_reduce_condensed_m5_residual_sizes():
@@ -255,7 +243,6 @@ def test_summary_to_text():
     assert smith_group(2).to_text() == "free_rank 2\n1 2\n"
 
 
-@slow
 def test_build_B_n10_superdiagonals():
     n = 10
     m = n // 2
