@@ -7,7 +7,7 @@ values, which makes them safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -174,18 +174,42 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
+def assemble(row_sizes: Sequence[int], col_sizes: Sequence[int],
+             block) -> IntMatrix:
+    """Block matrix with the given block row and block column sizes.
+
+    `block(i, j)` gives block (i, j): an IntMatrix of that block's shape, an
+    int c standing for c * I on a square block, or None for a zero block.
+    Each block is placed as soon as it is made, so no two need to be held
+    at once.
+    """
+    row_off = [0, *accumulate(row_sizes)]
+    col_off = [0, *accumulate(col_sizes)]
+    data = [[0] * col_off[-1] for _ in range(row_off[-1])]
+    for i, h in enumerate(row_sizes):
+        for j, w in enumerate(col_sizes):
+            b = block(i, j)
+            if b is None:
+                continue
+            r0, c0 = row_off[i], col_off[j]
+            if isinstance(b, IntMatrix):
+                if (b.rows, b.cols) != (h, w):
+                    raise ValueError(f"block ({i}, {j}) is {b.rows}x{b.cols}, "
+                                     f"expected {h}x{w}")
+                for r, row in enumerate(b._data):
+                    data[r0 + r][c0:c0 + w] = row
+            elif h != w:
+                raise ValueError(f"scalar block ({i}, {j}) is not square: {h}x{w}")
+            else:
+                for r in range(h):
+                    data[r0 + r][c0 + r] = b
+    return IntMatrix(data, col_off[-1])
+
+
 def block_diag(*blocks: IntMatrix) -> IntMatrix:
     """Block-diagonal sum of the given matrices."""
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[0] * cols for _ in range(rows)]
-    r = c = 0
-    for b in blocks:
-        for i, row in enumerate(b._data):
-            out[r + i][c:c + b.cols] = row
-        r += b.rows
-        c += b.cols
-    return IntMatrix(out, cols)
+    return assemble([b.rows for b in blocks], [b.cols for b in blocks],
+                    lambda i, j: blocks[i] if i == j else None)
 
 
 # -- diagonal forms and invariant factors ---------------------------------
@@ -219,10 +243,6 @@ class InvariantFactors:
         for a, b in zip(f, f[1:]):
             if b % a:
                 raise ValueError(f"divisibility chain broken: {a} does not divide {b}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.factors)
 
 
 @dataclass(frozen=True)

@@ -92,14 +92,12 @@ def _cmd_smith_group(args) -> int:
             summaries = {"reduction": reduction.smith_group_reduction(n)}
         elif args.method == "oracle":
             if n > cap:
-                print(f"oracle method limited to n <= {cap}", file=sys.stderr)
-                return 1
+                raise _UsageError(f"oracle method limited to n <= {cap}")
             summaries = {"oracle": reduction.smith_group_oracle(n)}
         else:  # all
             if n % 2 and n > cap:
-                print(f"error: odd n = {n} is above the oracle cap {cap}, so no "
-                      "route checks the closed form", file=sys.stderr)
-                return 1
+                raise _UsageError(f"odd n = {n} is above the oracle cap {cap}, "
+                                  "so no route checks the closed form")
             summaries = {"closed": reduction.smith_group(n)}
             if n % 2 == 0:
                 summaries["reduction"] = reduction.smith_group_reduction(n)
@@ -133,8 +131,7 @@ def _cmd_smith_group(args) -> int:
 def _cmd_verify(args) -> int:
     n = args.n
     if n < 1:
-        print(f"error: n must be >= 1, got {n}", file=sys.stderr)
-        return 1
+        raise _UsageError(f"n must be >= 1, got {n}")
     t0 = time.monotonic()
     payload: dict = {}
     try:
@@ -150,13 +147,11 @@ def _cmd_verify(args) -> int:
             ok = cube.verify_half_lemma(n)
         elif args.target == "conjugacy":
             ok = cube.verify_conjugacy(n)
-        elif args.target == "laplacian":
+        else:  # laplacian
             rep = reduction.laplacian_partial_check(n)
             ok = rep.ok
             payload = {"comparisons": [list(c) for c in rep.comparisons],
                        "s": rep.s}
-        else:
-            raise ValueError(f"unknown target {args.target}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -173,50 +168,27 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
-_MATRIX_ARITY = {"adjacency": 1, "monomial": 1, "laplacian": 1, "M": 1,
-                 "N": 1, "B": 1, "W": 3, "E": 2, "Estack": 2, "D": 3}
-
-
-def _build_matrix(kind: str, params: list):
-    if kind == "adjacency":
-        return cube.adjacency(params[0]).matrix
-    if kind == "monomial":
-        return cube.monomial_adjacency(params[0]).matrix
-    if kind == "laplacian":
-        return cube.laplacian(params[0])
-    if kind == "M":
-        return cube.blocks(params[0]).M
-    if kind == "N":
-        return cube.blocks(params[0]).N
-    if kind == "B":
-        return reduction.build_B(params[0])
-    if kind == "W":
-        n, t, k = params
-        return subsets.incidence_matrix(n, t, k)
-    if kind == "E":
-        n, k = params
-        return canonical.build_E(n, k).matrix
-    if kind == "Estack":
-        n, k = params
-        return reduction.stacked_basis(n, k)
-    if kind == "D":
-        n, t, k = params
-        return canonical.wilson_form(n, t, k).matrix
-    raise ValueError(f"unknown matrix kind {kind}")
+# kind -> (arity, builder); the builders look their function up when called
+_MATRICES = {
+    "adjacency": (1, lambda n: cube.adjacency(n).matrix),
+    "monomial": (1, lambda n: cube.monomial_adjacency(n).matrix),
+    "laplacian": (1, lambda n: cube.laplacian(n)),
+    "M": (1, lambda n: cube.blocks(n).M),
+    "N": (1, lambda n: cube.blocks(n).N),
+    "B": (1, lambda n: reduction.build_B(n)),
+    "W": (3, lambda n, t, k: subsets.incidence_matrix(n, t, k)),
+    "E": (2, lambda n, k: canonical.build_E(n, k).matrix),
+    "Estack": (2, lambda n, k: reduction.stacked_basis(n, k)),
+    "D": (3, lambda n, t, k: canonical.wilson_form(n, t, k).matrix),
+}
 
 
 def _cmd_matrix(args) -> int:
-    kind = args.kind
-    arity = _MATRIX_ARITY.get(kind)
-    if arity is None:
-        print(f"error: unknown matrix kind {kind!r}", file=sys.stderr)
-        return 1
+    arity, build = _MATRICES[args.kind]
     if len(args.params) != arity:
-        print(f"error: matrix kind {kind} takes {arity} parameter(s)",
-              file=sys.stderr)
-        return 1
+        raise _UsageError(f"matrix kind {args.kind} takes {arity} parameter(s)")
     try:
-        mat = _build_matrix(kind, args.params)
+        mat = build(*args.params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -250,7 +222,7 @@ def build_parser() -> _Parser:
     vf.set_defaults(func=_cmd_verify)
 
     mx = sub.add_parser("matrix", help="emit a constructed matrix as sparse triples")
-    mx.add_argument("kind", choices=sorted(_MATRIX_ARITY))
+    mx.add_argument("kind", choices=sorted(_MATRICES))
     mx.add_argument("params", type=int, nargs="*")
     mx.add_argument("--out", default=None)
     mx.set_defaults(func=_cmd_matrix)

@@ -9,20 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
-from .bigmat import IntMatrix, snf
+from .bigmat import IntMatrix, assemble, snf
 from .subsets import COMPLEMENT, SubsetOrder, enumerate_subsets, incidence_matrix
 
-# 2^n-sized dense constructions above this are refused by default
-DEFAULT_SIZE_CAP = 14
+# 2^n-sized dense constructions above this n are refused
+SIZE_CAP = 14
 
 
-def _check_n(n: int, size_cap: int) -> None:
+def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > size_cap:
-        raise ValueError(f"n={n} exceeds the size cap {size_cap}")
+    if n > SIZE_CAP:
+        raise ValueError(f"n={n} exceeds the size cap {SIZE_CAP}")
 
 
 @lru_cache(maxsize=None)
@@ -56,10 +57,10 @@ class BlockPair:
     N: IntMatrix
 
 
-def adjacency(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> CubeAdjacency:
+def adjacency(n: int) -> CubeAdjacency:
     """Adjacency matrix of the n-cube: vertices adjacent iff their subsets
     differ by one element."""
-    _check_n(n, size_cap)
+    _check_n(n)
     order = vertex_order(n)
     index = {s: i for i, s in enumerate(order)}
     size = 1 << n
@@ -75,38 +76,31 @@ def adjacency(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> CubeAdjacency:
     return CubeAdjacency(n, IntMatrix(data, size), order)
 
 
-def monomial_adjacency(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> MonomialAdjacency:
+def monomial_adjacency(n: int) -> MonomialAdjacency:
     """Matrix of the adjacency map on the monomial basis: column I carries
     (n - 2|I|) at row I and 1 at each row I minus one element."""
-    _check_n(n, size_cap)
-    order = vertex_order(n)
-    index = {s: i for i, s in enumerate(order)}
-    size = 1 << n
-    data = [[0] * size for _ in range(size)]
-    for ci, s in enumerate(order):
-        data[ci][ci] = n - 2 * len(s)
-        for x in s:
-            t = tuple(e for e in s if e != x)
-            data[index[t]][ci] = 1
-    return MonomialAdjacency(n, IntMatrix(data, size), order)
+    _check_n(n)
+    sizes = range(n + 1)
+    matrix = graded_blocks(n, sizes, sizes,
+                           lambda i: incidence_matrix(n, i, i + 1))
+    return MonomialAdjacency(n, matrix, vertex_order(n))
 
 
-def zeta_matrix(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> IntMatrix:
+def zeta_matrix(n: int) -> IntMatrix:
     """Basis change from monomials to vertex indicators: entry (S, I) is 1
     iff I is a subset of S.  Lower unitriangular in the graded order."""
-    _check_n(n, size_cap)
-    order = vertex_order(n)
-    sets = [frozenset(s) for s in order]
-    data = [[1 if i <= s else 0 for i in sets] for s in sets]
-    return IntMatrix(data, 1 << n)
+    _check_n(n)
+    sizes = [comb(n, i) for i in range(n + 1)]
+    return assemble(sizes, sizes,
+                    lambda s, i: incidence_matrix(n, s, i) if i <= s else None)
 
 
-def laplacian(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> IntMatrix:
+def laplacian(n: int) -> IntMatrix:
     """n*I - A; exposed for the degree-matrix congruence report only.
 
     Built in one pass over the rows of A, whose diagonal is zero.
     """
-    a = adjacency(n, size_cap).matrix
+    a = adjacency(n).matrix
     data = []
     for i in range(a.rows):
         row = [-x for x in a.row(i)]
@@ -115,100 +109,73 @@ def laplacian(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> IntMatrix:
     return IntMatrix(data, a.cols)
 
 
-def verify_conjugacy(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
+def verify_conjugacy(n: int) -> bool:
     """Check A * Z = Z * Atilde, i.e. the vertex-basis and monomial-basis
     matrices represent the same map through the subset-inclusion basis
     change."""
-    a = adjacency(n, size_cap).matrix
-    at = monomial_adjacency(n, size_cap).matrix
-    z = zeta_matrix(n, size_cap)
+    a = adjacency(n).matrix
+    at = monomial_adjacency(n).matrix
+    z = zeta_matrix(n)
     return a @ z == z @ at
 
 
-def _size_order(n: int, k: int, m: int) -> SubsetOrder:
-    # sizes above n/2 use the complement-induced order; the half size m uses
-    # colex inside M and the complement ("second") order inside N
-    if k <= m:
-        return SubsetOrder(n, k)
-    return SubsetOrder(n, k, COMPLEMENT)
+def graded_blocks(n: int, row_sizes, col_sizes, up) -> IntMatrix:
+    """The graded block shape shared by the monomial matrix, M, N and B.
+
+    Block rows and block columns stand for the subsets of the given sizes.
+    The block from size i to size i is (n - 2i) I, the block from size i to
+    size i+1 is up(i), and every other block is zero.
+    """
+    def block(a, b):
+        i, j = row_sizes[a], col_sizes[b]
+        if j == i:
+            return n - 2 * i
+        return up(i) if j == i + 1 else None
+
+    return assemble([comb(n, i) for i in row_sizes],
+                    [comb(n, j) for j in col_sizes], block)
 
 
-def blocks(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> BlockPair:
+def blocks(n: int) -> BlockPair:
     """Assemble the two half blocks of the monomial-basis matrix (n even).
 
     M covers sizes 0..m in colex orders; N covers sizes m..n in the
     complement orders, with the second (complement) ordering on the
     half-size subsets.
     """
-    _check_n(n, size_cap)
+    _check_n(n)
     if n % 2:
         raise ValueError(f"blocks require even n, got {n}")
     m = n // 2
 
-    def assemble(row_sizes, col_sizes, order_of):
-        row_off = {}
-        off = 0
-        for i in row_sizes:
-            row_off[i] = off
-            off += comb(n, i)
-        total_rows = off
-        col_off = {}
-        off = 0
-        for j in col_sizes:
-            col_off[j] = off
-            off += comb(n, j)
-        total_cols = off
-        data = [[0] * total_cols for _ in range(total_rows)]
-        for i in row_sizes:
-            # scalar diagonal block
-            if i in col_off:
-                d = n - 2 * i
-                for r in range(comb(n, i)):
-                    data[row_off[i] + r][col_off[i] + r] = d
-            # inclusion block one size up
-            if i + 1 in col_off:
-                w = incidence_matrix(n, i, i + 1, order_of(i), order_of(i + 1))
-                ro, co = row_off[i], col_off[i + 1]
-                for r in range(w.rows):
-                    wr = w.row(r)
-                    drow = data[ro + r]
-                    for c, v in enumerate(wr):
-                        if v:
-                            drow[co + c] = v
-        return IntMatrix(data, total_cols)
+    def complement(k):
+        return SubsetOrder(n, k, COMPLEMENT)
 
-    m_block = assemble(range(m), range(m + 1), lambda k: SubsetOrder(n, k))
-    n_block = assemble(range(m, n + 1), range(m + 1, n + 1),
-                       lambda k: SubsetOrder(n, k, COMPLEMENT))
+    m_block = graded_blocks(n, range(m), range(m + 1),
+                            lambda i: incidence_matrix(n, i, i + 1))
+    n_block = graded_blocks(n, range(m, n + 1), range(m + 1, n + 1),
+                            lambda i: incidence_matrix(n, i, i + 1, complement(i),
+                                                       complement(i + 1)))
     return BlockPair(n, m_block, n_block)
 
 
-def _reverse_blocks_transpose(mat: IntMatrix, row_sizes, col_sizes) -> IntMatrix:
-    """Reverse the block rows and block columns, then transpose."""
+def _reverse_blocks_transpose(pair: BlockPair) -> IntMatrix:
+    """Reverse the block rows and block columns of N, then transpose."""
     def perm(sizes):
-        out = []
-        off = []
-        total = 0
-        for s in sizes:
-            off.append(total)
-            total += s
-        for s, o in zip(reversed(sizes), reversed(off)):
-            out.extend(range(o, o + s))
-        return out
+        ends = list(accumulate(sizes))
+        return [x for s, e in zip(reversed(sizes), reversed(ends))
+                for x in range(e - s, e)]
 
-    rp = perm(row_sizes)
-    cp = perm(col_sizes)
-    return mat.submatrix(rp, cp).transpose()
+    n, m = pair.n, pair.n // 2
+    rp = perm([comb(n, i) for i in range(m, n + 1)])
+    cp = perm([comb(n, i) for i in range(m + 1, n + 1)])
+    return pair.N.submatrix(rp, cp).transpose()
 
 
-def n_prime(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> IntMatrix:
+def n_prime(n: int) -> IntMatrix:
     """The reversed-and-transposed upper half block: equals M with the signs
     of the diagonal blocks flipped."""
-    pair = blocks(n, size_cap)
-    m = n // 2
-    row_sizes = [comb(n, i) for i in range(m, n + 1)]
-    col_sizes = [comb(n, i) for i in range(m + 1, n + 1)]
-    return _reverse_blocks_transpose(pair.N, row_sizes, col_sizes)
+    return _reverse_blocks_transpose(blocks(n))
 
 
 def _alternating_sign_fix(mat: IntMatrix, n: int) -> IntMatrix:
@@ -216,14 +183,8 @@ def _alternating_sign_fix(mat: IntMatrix, n: int) -> IntMatrix:
     every diagonal block exactly once and every superdiagonal block zero or
     two times."""
     m = n // 2
-    row_sizes = [comb(n, i) for i in range(m)]
-    col_sizes = [comb(n, i) for i in range(m + 1)]
-    row_off = [0]
-    for s in row_sizes:
-        row_off.append(row_off[-1] + s)
-    col_off = [0]
-    for s in col_sizes:
-        col_off.append(col_off[-1] + s)
+    row_off = [0, *accumulate(comb(n, i) for i in range(m))]
+    col_off = [0, *accumulate(comb(n, i) for i in range(m + 1))]
     data = mat.row_lists()
     for t in range(1, m + 2):
         b = t - 1
@@ -238,16 +199,16 @@ def _alternating_sign_fix(mat: IntMatrix, n: int) -> IntMatrix:
     return IntMatrix(data, mat.cols)
 
 
-def verify_half_lemma(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
+def verify_half_lemma(n: int) -> bool:
     """Both halves of the block split carry the same Smith data.
 
     Checks snf(M) = snf(N^t) with the elimination oracle, and replays the
     explicit alternating sign-flip sequence turning the reversed transpose
     of N into M exactly.
     """
-    pair = blocks(n, size_cap)
+    pair = blocks(n)
     if snf(pair.M) != snf(pair.N.transpose()):
         return False
-    fixed = _alternating_sign_fix(n_prime(n, size_cap), n)
+    fixed = _alternating_sign_fix(_reverse_blocks_transpose(pair), n)
     return fixed == pair.M
 

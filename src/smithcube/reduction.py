@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bigmat import (ElemDivTable, IntMatrix, InvariantFactors, block_diag,
-                     snf, valuation)
+from .bigmat import ElemDivTable, IntMatrix, block_diag, snf, valuation
 from .canonical import build_E, wilson_form
-from .cube import DEFAULT_SIZE_CAP, _check_n
+from .cube import _check_n, graded_blocks
 
 
 def _require_even(n: int) -> int:
@@ -53,32 +52,20 @@ def stacked_basis(n: int, k: int) -> IntMatrix:
     return block_diag(*(build_E(n, j).matrix for j in range(k + 1)))
 
 
-def build_B(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> IntMatrix:
+def build_B(n: int) -> IntMatrix:
     """The conjugated half block B = E(m-1) M E(m)^{-1}, in closed form.
 
     Block (i, i) of M is (n - 2i) I and block (i, i+1) is the inclusion
     matrix W_{i,i+1}; every other block is zero.  Conjugating by the
     block-diagonal bases keeps (n - 2i) I, and Bier's identity
     E_i W_{i,i+1} = D_{i,i+1} E_{i+1} turns the superdiagonal block into
-    the Wilson form D_{i,i+1}.  So B is assembled from those blocks
-    directly, with no product and no inversion.
+    the Wilson form D_{i,i+1}.  So B is the assembly of M with D_{i,i+1}
+    in place of W_{i,i+1}, with no product and no inversion.
     """
     m = _require_even(n)
-    _check_n(n, size_cap)
-    sizes = _binomial_row(n, m)
-    width = sum(sizes)
-    data = []
-    off = 0
-    for i in range(m):
-        d = wilson_form(n, i, i + 1).matrix
-        sup = off + sizes[i]
-        for r in range(sizes[i]):
-            row = [0] * width
-            row[off + r] = n - 2 * i
-            row[sup:sup + sizes[i + 1]] = d.row(r)
-            data.append(row)
-        off = sup
-    return IntMatrix(data, width)
+    _check_n(n)
+    return graded_blocks(n, range(m), range(m + 1),
+                         lambda i: wilson_form(n, i, i + 1).matrix)
 
 
 # -- the condensed block shadow -------------------------------------------
@@ -114,9 +101,6 @@ class CondensedMatrix:
 
     def shape(self) -> tuple:
         return (self.m * (self.m + 1) // 2, (self.m + 1) * (self.m + 2) // 2)
-
-    def diagonal_value(self, i: int, k: int) -> int:
-        return i + 1 - k
 
     def __post_init__(self):
         self.validate()
@@ -378,12 +362,6 @@ class SmithGroupSummary:
     def invariant_factor_rle(self) -> tuple:
         return invariant_factor_rle(self.nonzero)
 
-    def invariant_factors(self) -> InvariantFactors:
-        factors = []
-        for value, count in self.invariant_factor_rle():
-            factors.extend([value] * count)
-        return InvariantFactors(tuple(factors), self.free_rank)
-
     def to_text(self) -> str:
         lines = [f"free_rank {self.free_rank}"]
         for k in sorted(self.nonzero):
@@ -418,10 +396,10 @@ def smith_group(n: int) -> SmithGroupSummary:
     return SmithGroupSummary(n, 0, nonzero)
 
 
-def smith_group_oracle(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> SmithGroupSummary:
+def smith_group_oracle(n: int) -> SmithGroupSummary:
     """Smith group by generic elimination on the full adjacency matrix."""
     from .cube import adjacency
-    inv = snf(adjacency(n, size_cap).matrix)
+    inv = snf(adjacency(n).matrix)
     nonzero: dict = {}
     for d in inv.factors:
         nonzero[d] = nonzero.get(d, 0) + 1
@@ -452,8 +430,7 @@ def same_group(a: SmithGroupSummary, b: SmithGroupSummary) -> bool:
 # -- conjecture and Laplacian reports -------------------------------------
 
 
-def verify_conjecture(n: int, oracle_cap: int = 10,
-                      size_cap: int = DEFAULT_SIZE_CAP) -> bool:
+def verify_conjecture(n: int, oracle_cap: int = 10) -> bool:
     """Multiplicity of 2^i among the 2-elementary divisors equals the count
     of eigenvalues exactly divisible by 2^(i+1); n even.
 
@@ -465,7 +442,7 @@ def verify_conjecture(n: int, oracle_cap: int = 10,
     if n <= oracle_cap:
         from .bigmat import p_elementary_divisors
         from .cube import adjacency
-        table = p_elementary_divisors(adjacency(n, size_cap).matrix, 2)
+        table = p_elementary_divisors(adjacency(n).matrix, 2)
         divisor_side = {e: c for e, c in table.mult.items() if c}
         free = table.free_rank
     else:
@@ -495,7 +472,7 @@ class LaplacianReport:
         return all(a == b for _, a, b in self.comparisons)
 
 
-def laplacian_partial_check(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> LaplacianReport:
+def laplacian_partial_check(n: int) -> LaplacianReport:
     """For n = 2^s the adjacency and Laplacian matrices agree mod 2^s, so the
     multiplicities of 2^i agree for i < s.  Verified with the oracle."""
     s = 0
@@ -507,8 +484,8 @@ def laplacian_partial_check(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Laplaci
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     from .bigmat import p_elementary_divisors
     from .cube import adjacency, laplacian
-    table_a = p_elementary_divisors(adjacency(n, size_cap).matrix, 2)
-    table_l = p_elementary_divisors(laplacian(n, size_cap), 2)
+    table_a = p_elementary_divisors(adjacency(n).matrix, 2)
+    table_l = p_elementary_divisors(laplacian(n), 2)
     comparisons = tuple((i, table_a.mult.get(i, 0), table_l.mult.get(i, 0))
                         for i in range(s))
     return LaplacianReport(n, s, comparisons)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Tuple
 
@@ -128,10 +129,19 @@ def incidence_matrix(n: int, t: int, k: int,
     col_order = col_order or SubsetOrder(n, k)
     if (row_order.n, row_order.k) != (n, t) or (col_order.n, col_order.k) != (n, k):
         raise ValueError("orders do not match the requested sizes")
-    rows = [frozenset(s) for s in row_order.subsets()]
-    cols = [frozenset(s) for s in col_order.subsets()]
-    if t <= k:
-        data = [[1 if r <= c else 0 for c in cols] for r in rows]
-    else:
-        data = [[1 if c <= r else 0 for c in cols] for r in rows]
-    return IntMatrix(data, len(cols))
+    # each row lists its k-supersets (t <= k) or k-subsets (t > k), so the
+    # cost follows the nonzeros, not C(n,t) * C(n,k)
+    index = {s: i for i, s in enumerate(col_order.subsets())}
+    full = range(1, n + 1)
+    data = []
+    for s in row_order.subsets():
+        if t <= k:
+            rest = [x for x in full if x not in s]
+            related = (tuple(sorted(s + e)) for e in combinations(rest, k - t))
+        else:
+            related = combinations(s, k)
+        row = [0] * len(index)
+        for c in related:
+            row[index[c]] = 1
+        data.append(row)
+    return IntMatrix(data, len(index))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from smithcube.bigmat import (DiagonalForm, ElemDivTable, IntMatrix,
-                              InvariantFactors, block_diag,
+                              InvariantFactors, assemble, block_diag,
                               diagonal_form_to_invariant_factors, from_text,
                               is_unimodular, p_elementary_divisors, snf,
                               to_text, valuation)
@@ -116,6 +116,19 @@ def test_block_diag_and_submatrix():
     assert bd.submatrix([1, 2], [2]) == b
     with pytest.raises(IndexError):
         bd.submatrix([3], [0])
+
+
+def test_assemble_places_blocks_and_rejects_wrong_shape():
+    w = IntMatrix([[1, 2, 3]])
+    placed = {(0, 1): w, (1, 0): 5}
+    m = assemble([1, 2], [2, 3], lambda i, j: placed.get((i, j)))
+    assert m == IntMatrix([[0, 0, 1, 2, 3],
+                           [5, 0, 0, 0, 0],
+                           [0, 5, 0, 0, 0]])
+    with pytest.raises(ValueError, match=r"^block \(0, 1\) is 1x3, expected 2x3$"):
+        assemble([2], [1, 3], lambda i, j: w if j == 1 else None)
+    with pytest.raises(ValueError, match="not square"):
+        assemble([1, 2], [2, 3], lambda i, j: 5 if (i, j) == (0, 1) else None)
 
 
 def test_immutability():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,41 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# SHA-256 of `smithcube matrix ARGS` for every matrix kind, recorded from the
+# per-matrix constructions that preceded the shared block assembler
+MATRIX_SHA256 = {
+    "adjacency 8":
+        "79e75e68facc15ad58fec6f30c8bfaf99324777f16d04fe21153eac05b626a28",
+    "monomial 8":
+        "cc795436811f3e63c988e91e85ee1991dd3e3df3fdce541e882fbf391500fd1f",
+    "laplacian 8":
+        "86c42fadf66ae1de51adc6a40f1010c9eaa25dfd882c825a0d2f84c93351cc08",
+    "M 8":
+        "7d8e7e289a6326b0786a54e699af90d4eaae20e5286360df966c3d9a3386b25f",
+    "N 8":
+        "b23da6e4c6c9ad678f3652393b137a9eb911bf88b9e872a925e1c9f9c88b88ae",
+    "B 8":
+        "9d91eac1a829f1db87a0ab8ab8dfdc18f17bf20b7953d4f7b0d5703e4fcb815f",
+    "W 8 2 4":
+        "51f3d69ea916af2559ab5ddd0f15307ac681879cfdc60514de7f2636a5d371b3",
+    "W 8 4 2":
+        "afabe0fb976ef5a598f41d7586c78f77d3c9803029adb200e418ccc3d061b1ee",
+    "E 8 4":
+        "ff0d4b4d184db8fbad8b213a684adaf1d6e8c62a93483a5bca30145d74086dbf",
+    "Estack 8 4":
+        "f9ac5ee80f5cf42aed7bd951fb56fb1d3911489e8264c7e596758a0b1feb3055",
+    "D 8 2 4":
+        "56f381591c4e9b917a6342e71672b9433fd19a2915e06a56d0c7c1db3713eb3a",
+}
+
+
+def test_matrix_output_digests(capsys):
+    for args, digest in MATRIX_SHA256.items():
+        code, out, err = run(capsys, "matrix", *args.split())
+        assert (code, err) == (0, ""), args
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
 def test_smith_group_all_n4(capsys):
@@ -138,7 +174,7 @@ def test_oracle_cap_flag_and_env(capsys, monkeypatch):
     code, _, err = run(capsys, "smith-group", "12", "--method", "oracle",
                        "--cap", "8")
     assert code == 1
-    assert "n <= 8" in err
+    assert err == "error: oracle method limited to n <= 8\n"
     monkeypatch.setenv("SMITHCUBE_CAP", "6")
     code, _, err = run(capsys, "smith-group", "8", "--method", "oracle")
     assert code == 1

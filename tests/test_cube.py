@@ -123,9 +123,7 @@ def test_laplacian_row_sums_vanish():
 def test_size_cap_and_bounds():
     with pytest.raises(ValueError):
         adjacency(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n=15 exceeds the size cap 14$"):
         adjacency(15)
     with pytest.raises(ValueError):
-        monomial_adjacency(20, size_cap=16)
-    # a raised cap admits larger n
-    assert adjacency(4, size_cap=4).n == 4
+        monomial_adjacency(20)
