@@ -1,27 +1,52 @@
 """Exact integer matrices, Smith normal form, and elementary divisors.
 
 Everything works over plain Python ints, so there is no precision limit and
-no rounding anywhere.  Matrices are immutable; all operations return new
-values, which makes them safe to share between threads.
+no rounding anywhere.  Matrices are immutable and store their nonzero
+entries only; all operations return new values, which makes them safe to
+share between threads.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
 _PLAIN_INT = frozenset({int})
 
 
+def _check_entries(values) -> None:
+    """Refuse any entry that is not an int; bool, an int subclass but never
+    a matrix entry, is refused too, while other int subclasses pass."""
+    # a run of plain ints passes at C speed; anything else gets the
+    # per-entry test
+    if set(map(type, values)) <= _PLAIN_INT:
+        return
+    for x in values:
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+            raise TypeError(f"non-integer entry {x!r}")
+
+
+def _pairs(row: dict) -> tuple:
+    """The nonzero (col, value) pairs of a {col: value} row, in column order."""
+    return tuple(sorted(filter(itemgetter(1), row.items())))
+
+
 class IntMatrix:
-    """Dense matrix of arbitrary-precision integers."""
+    """Sparse matrix of arbitrary-precision integers.
+
+    Each row is stored as its nonzero (col, value) pairs in column order;
+    zeros are never stored, so equal matrices have equal storage.
+    """
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data: Sequence[Sequence[int]], cols: int | None = None):
-        data = tuple(tuple(row) for row in data)
+        """Dense constructor for small fixtures: one list of entries per row."""
+        data = [tuple(row) for row in data]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -31,19 +56,23 @@ class IntMatrix:
             cols = width
         else:
             cols = 0 if cols is None else cols
+        # every entry is checked before the zeros are dropped, so a False
+        # cannot pass as a zero
         for row in data:
-            # a row of plain ints passes at C speed; any other row gets the
-            # per-entry test, under which bool (an int subclass, but never a
-            # matrix entry) is refused and other int subclasses pass
-            if set(map(type, row)) <= _PLAIN_INT:
-                continue
-            for x in row:
-                if type(x) is not int and (isinstance(x, bool)
-                                           or not isinstance(x, int)):
-                    raise TypeError(f"non-integer entry {x!r}")
+            _check_entries(row)
+        self._set(tuple(tuple(compress(enumerate(row), row)) for row in data), cols)
+
+    def _set(self, data: tuple, cols: int) -> None:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_data", data)
+
+    @classmethod
+    def _stored(cls, data: tuple, cols: int) -> "IntMatrix":
+        """Wrap rows that are already nonzero pairs in column order."""
+        m = object.__new__(cls)
+        m._set(data, cols)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -51,20 +80,34 @@ class IntMatrix:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def from_rows(cls, rows: Iterable[dict], cols: int) -> "IntMatrix":
+        """Matrix with one {col: value} dict per row, the constructor for
+        builders.  Values must be ints (bool is refused) and columns lie in
+        0..cols-1; zero values are dropped."""
+        data = []
+        for row in rows:
+            _check_entries(row.values())
+            if row and not set(map(type, row)) <= _PLAIN_INT:
+                raise TypeError(f"non-integer column in row {len(data)}")
+            if row and (min(row) < 0 or max(row) >= cols):
+                raise ValueError(f"row {len(data)} has a column outside "
+                                 f"0..{cols - 1}")
+            data.append(_pairs(row))
+        return cls._stored(tuple(data), cols)
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        return cls([[0] * cols for _ in range(rows)], cols)
+        return cls._stored(((),) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return cls._stored(tuple(((i, 1),) for i in range(n)), n)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)]
-                    for i in range(n)], n)
+        return cls.from_rows(({i: e} for i, e in enumerate(entries)), len(entries))
 
     # -- access -----------------------------------------------------------
 
@@ -72,14 +115,20 @@ class IntMatrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) out of bounds")
-        return self._data[i][j]
+        row = self._data[i]
+        k = bisect_left(row, (j,))
+        return row[k][1] if k < len(row) and row[k][0] == j else 0
 
     def row(self, i: int) -> tuple:
-        return self._data[i]
+        """Dense copy of row i."""
+        out = [0] * self.cols
+        for j, v in self._data[i]:
+            out[j] = v
+        return tuple(out)
 
     def row_lists(self) -> list:
-        """Mutable copy of the entries, row-major."""
-        return [list(row) for row in self._data]
+        """Dense mutable copy of the entries, row-major."""
+        return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.cols == other.cols
@@ -94,42 +143,48 @@ class IntMatrix:
     # -- arithmetic -------------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Product that touches nonzeros only.
-
-        Each row of `other` is listed once as its (col, value) pairs; each
-        row of `self` then walks its own nonzeros and adds the listed pairs
-        of the rows they select into one accumulator.  The cost is the
-        number of nonzero pairs that meet, not rows * cols * other.cols.
-        """
+        """Product that touches nonzeros only: each stored pair (j, v) of a
+        row of `self` adds v times row j of `other` into one accumulator, so
+        the cost is the number of nonzero pairs that meet."""
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch {self.cols} != {other.rows}")
-        width = other.cols
-        pairs = [list(compress(enumerate(row), row)) for row in other._data]
+        right = other._data
         out = []
         for row in self._data:
-            acc = [0] * width
-            for j, v in compress(enumerate(row), row):
-                for c, b in pairs[j]:
-                    acc[c] += v * b
-            out.append(acc)
-        return IntMatrix(out, width)
+            acc: dict = {}
+            for j, v in row:
+                for c, b in right[j]:
+                    acc[c] = acc.get(c, 0) + v * b
+            out.append(_pairs(acc))
+        return IntMatrix._stored(tuple(out), other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
-        return IntMatrix([[a + b for a, b in zip(r, s)]
-                          for r, s in zip(self._data, other._data)], self.cols)
+        out = []
+        for r, s in zip(self._data, other._data):
+            acc = dict(r)
+            for c, v in s:
+                acc[c] = acc.get(c, 0) + v
+            out.append(_pairs(acc))
+        return IntMatrix._stored(tuple(out), self.cols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * x for x in row] for row in self._data], self.cols)
+        _check_entries((c,))
+        if not c:
+            return IntMatrix.zeros(self.rows, self.cols)
+        return IntMatrix._stored(tuple(tuple((j, c * v) for j, v in row)
+                                       for row in self._data), self.cols)
 
     def transpose(self) -> "IntMatrix":
-        if self.rows == 0:
-            return IntMatrix([[] for _ in range(self.cols)], 0)
-        return IntMatrix(list(zip(*self._data)), self.rows)
+        out: list = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, v in row:
+                out[j].append((i, v))
+        return IntMatrix._stored(tuple(map(tuple, out)), self.rows)
 
     def submatrix(self, row_indices: Iterable[int],
                   col_indices: Iterable[int]) -> "IntMatrix":
@@ -138,10 +193,19 @@ class IntMatrix:
         for i in ri:
             if not 0 <= i < self.rows:
                 raise IndexError(f"row {i} out of bounds")
-        for j in ci:
+        targets: dict = {}  # old column -> its new columns
+        for k, j in enumerate(ci):
             if not 0 <= j < self.cols:
                 raise IndexError(f"column {j} out of bounds")
-        return IntMatrix([[self._data[i][j] for j in ci] for i in ri], len(ci))
+            targets.setdefault(j, []).append(k)
+        out = []
+        for i in ri:
+            acc = {}
+            for j, v in self._data[i]:
+                for k in targets.get(j, ()):
+                    acc[k] = v
+            out.append(tuple(sorted(acc.items())))
+        return IntMatrix._stored(tuple(out), len(ci))
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -185,7 +249,7 @@ def assemble(row_sizes: Sequence[int], col_sizes: Sequence[int],
     """
     row_off = [0, *accumulate(row_sizes)]
     col_off = [0, *accumulate(col_sizes)]
-    data = [[0] * col_off[-1] for _ in range(row_off[-1])]
+    data: list = [{} for _ in range(row_off[-1])]
     for i, h in enumerate(row_sizes):
         for j, w in enumerate(col_sizes):
             b = block(i, j)
@@ -197,13 +261,13 @@ def assemble(row_sizes: Sequence[int], col_sizes: Sequence[int],
                     raise ValueError(f"block ({i}, {j}) is {b.rows}x{b.cols}, "
                                      f"expected {h}x{w}")
                 for r, row in enumerate(b._data):
-                    data[r0 + r][c0:c0 + w] = row
+                    data[r0 + r].update((c0 + c, v) for c, v in row)
             elif h != w:
                 raise ValueError(f"scalar block ({i}, {j}) is not square: {h}x{w}")
             else:
                 for r in range(h):
                     data[r0 + r][c0 + r] = b
-    return IntMatrix(data, col_off[-1])
+    return IntMatrix.from_rows(data, col_off[-1])
 
 
 def block_diag(*blocks: IntMatrix) -> IntMatrix:
@@ -288,7 +352,7 @@ def _eliminate(m: IntMatrix) -> list:
     """Diagonalize an integer matrix by unimodular row and column operations
     on a sparse copy; returns the list of nonzero diagonal entries produced.
 
-    Each row is a {col: value} dict, and a column -> row-set index mirrors
+    Each stored row becomes a {col: value} dict, and a column -> row-set index mirrors
     them.  The pivot is an active entry of the smallest absolute value,
     ties going to the least Markowitz cost (row length - 1) * (column
     length - 1).  Rows are visited shortest first, and the search stops once
@@ -305,10 +369,9 @@ def _eliminate(m: IntMatrix) -> list:
     rows: dict = {}
     cols: dict = {}
     for i, row in enumerate(m._data):
-        entries = {j: v for j, v in enumerate(row) if v}
-        if entries:
-            rows[i] = entries
-            for j in entries:
+        if row:
+            rows[i] = dict(row)
+            for j, _ in row:
                 cols.setdefault(j, set()).add(i)
     diag = []
     while rows:
@@ -422,11 +485,8 @@ def to_text(m: IntMatrix) -> str:
     """Serialize in the sparse-triple format: header "rows cols", one line
     "i j value" per nonzero entry (1-based), terminator "0 0 0"."""
     lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        row = m.row(i)
-        for j, v in enumerate(row):
-            if v:
-                lines.append(f"{i + 1} {j + 1} {v}")
+    for i, row in enumerate(m._data, 1):
+        lines.extend(f"{i} {j + 1} {v}" for j, v in row)
     lines.append("0 0 0")
     return "\n".join(lines) + "\n"
 
@@ -442,8 +502,7 @@ def from_text(text: str) -> IntMatrix:
     rows, cols = map(int, lines[0].split())
     if rows < 0 or cols < 0:
         raise ValueError("negative dimensions in header")
-    data = [[0] * cols for _ in range(rows)]
-    seen = set()
+    data: list = [{} for _ in range(rows)]
     terminated = False
     for ln in lines[1:]:
         if terminated:
@@ -455,10 +514,9 @@ def from_text(text: str) -> IntMatrix:
             continue
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ValueError(f"entry ({i}, {j}) out of bounds")
-        if (i, j) in seen:
+        if j - 1 in data[i - 1]:
             raise ValueError(f"duplicate entry ({i}, {j})")
-        seen.add((i, j))
         data[i - 1][j - 1] = v
     if not terminated:
         raise ValueError("missing 0 0 0 terminator")
-    return IntMatrix(data, cols)
+    return IntMatrix.from_rows(data, cols)

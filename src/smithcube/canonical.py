@@ -10,14 +10,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .bigmat import IntMatrix
-from .subsets import (SubsetOrder, count_full_rank, enumerate_subsets,
-                      has_full_rank, incidence_matrix)
+from .bigmat import IntMatrix, assemble
+from .subsets import (count_full_rank, enumerate_subsets, has_full_rank,
+                      incidence_matrix)
 
 
 def _check_half(n: int, k: int) -> None:
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if 2 * k > n:
         raise ValueError(f"k={k} exceeds n/2 for n={n}")
+
+
+def _check_sizes(n: int, t: int, k: int) -> None:
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if t > k:
+        raise ValueError(f"need t <= k, got t={t}, k={k}")
+    _check_half(n, k)
 
 
 @dataclass(frozen=True)
@@ -42,10 +52,12 @@ class WilsonForm:
     matrix: IntMatrix
 
     def diagonal_entries(self) -> tuple:
-        out = []
-        for j in range(self.t + 1):
-            out.extend([comb(self.k - j, self.t - j)] * count_full_rank(self.n, j))
-        return tuple(out)
+        return _wilson_diagonal(self.n, self.t, self.k)
+
+
+def _wilson_diagonal(n: int, t: int, k: int) -> tuple:
+    return tuple(comb(k - j, t - j) for j in range(t + 1)
+                 for _ in range(count_full_rank(n, j)))
 
 
 def build_E_jk(n: int, j: int, k: int) -> IntMatrix:
@@ -62,38 +74,26 @@ def build_E_jk(n: int, j: int, k: int) -> IntMatrix:
 def build_E(n: int, k: int) -> CanonicalBasis:
     """The canonical basis matrix: stacked full-rank blocks, j = 0..k."""
     _check_half(n, k)
-    labels = []
-    rows = []
-    for j in range(k + 1):
-        block = build_E_jk(n, j, k)
-        rows.extend(block.row_lists())
-        labels.extend((j, s) for s in enumerate_subsets(n, j) if has_full_rank(s))
-    matrix = IntMatrix(rows, comb(n, k))
+    matrix = assemble([count_full_rank(n, j) for j in range(k + 1)], [comb(n, k)],
+                      lambda j, _: build_E_jk(n, j, k))
     assert matrix.rows == matrix.cols
-    return CanonicalBasis(n, k, matrix, tuple(labels))
+    labels = tuple((j, s) for j in range(k + 1)
+                   for s in enumerate_subsets(n, j) if has_full_rank(s))
+    return CanonicalBasis(n, k, matrix, labels)
 
 
 def wilson_form(n: int, t: int, k: int) -> WilsonForm:
     """Wilson's diagonal form for the (t,k) inclusion matrix, t <= k <= n/2."""
-    if t > k:
-        raise ValueError(f"need t <= k, got t={t}, k={k}")
-    _check_half(n, k)
-    data = [[0] * comb(n, k) for _ in range(comb(n, t))]
-    i = 0
-    for j in range(t + 1):
-        entry = comb(k - j, t - j)
-        for _ in range(count_full_rank(n, j)):
-            data[i][i] = entry
-            i += 1
-    assert i == comb(n, t)
-    return WilsonForm(n, t, k, IntMatrix(data, comb(n, k)))
+    _check_sizes(n, t, k)
+    entries = _wilson_diagonal(n, t, k)
+    assert len(entries) == comb(n, t)
+    return WilsonForm(n, t, k, IntMatrix.from_rows(
+        ({i: e} for i, e in enumerate(entries)), comb(n, k)))
 
 
 def verify_bier(n: int, t: int, k: int) -> bool:
     """Check E_t * W_{t,k} = D_{t,k} * E_k (inversion-free form)."""
-    if t > k:
-        raise ValueError(f"need t <= k, got t={t}, k={k}")
-    _check_half(n, k)
+    _check_sizes(n, t, k)
     e_t = build_E(n, t).matrix
     e_k = build_E(n, k).matrix
     w = incidence_matrix(n, t, k)

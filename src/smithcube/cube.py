@@ -15,7 +15,7 @@ from math import comb
 from .bigmat import IntMatrix, assemble, snf
 from .subsets import COMPLEMENT, SubsetOrder, enumerate_subsets, incidence_matrix
 
-# 2^n-sized dense constructions above this n are refused
+# 2^n-sized constructions above this n are refused
 SIZE_CAP = 14
 
 
@@ -63,17 +63,17 @@ def adjacency(n: int) -> CubeAdjacency:
     _check_n(n)
     order = vertex_order(n)
     index = {s: i for i, s in enumerate(order)}
-    size = 1 << n
-    data = [[0] * size for _ in range(size)]
-    for i, s in enumerate(order):
-        present = set(s)
+    data = []
+    for s in order:
+        row = {}
         for x in range(1, n + 1):
-            if x in present:
+            if x in s:
                 t = tuple(e for e in s if e != x)
             else:
                 t = tuple(sorted(s + (x,)))
-            data[i][index[t]] = 1
-    return CubeAdjacency(n, IntMatrix(data, size), order)
+            row[index[t]] = 1
+        data.append(row)
+    return CubeAdjacency(n, IntMatrix.from_rows(data, 1 << n), order)
 
 
 def monomial_adjacency(n: int) -> MonomialAdjacency:
@@ -96,17 +96,9 @@ def zeta_matrix(n: int) -> IntMatrix:
 
 
 def laplacian(n: int) -> IntMatrix:
-    """n*I - A; exposed for the degree-matrix congruence report only.
-
-    Built in one pass over the rows of A, whose diagonal is zero.
-    """
+    """n*I - A; exposed for the degree-matrix congruence report only."""
     a = adjacency(n).matrix
-    data = []
-    for i in range(a.rows):
-        row = [-x for x in a.row(i)]
-        row[i] = n
-        data.append(row)
-    return IntMatrix(data, a.cols)
+    return IntMatrix.identity(a.rows).scale(n) - a
 
 
 def verify_conjugacy(n: int) -> bool:
@@ -179,24 +171,14 @@ def n_prime(n: int) -> IntMatrix:
 
 
 def _alternating_sign_fix(mat: IntMatrix, n: int) -> IntMatrix:
-    """Flip block-column 1, block-row 2, block-column 3, ... which negates
+    """Flip block-column 0, block-row 1, block-column 2, ... which negates
     every diagonal block exactly once and every superdiagonal block zero or
-    two times."""
+    two times: the block rows of odd size and the block columns of even
+    size change sign."""
     m = n // 2
-    row_off = [0, *accumulate(comb(n, i) for i in range(m))]
-    col_off = [0, *accumulate(comb(n, i) for i in range(m + 1))]
-    data = mat.row_lists()
-    for t in range(1, m + 2):
-        b = t - 1
-        if t % 2:  # flip block column b
-            lo, hi = col_off[b], col_off[b + 1]
-            for row in data:
-                row[lo:hi] = [-x for x in row[lo:hi]]
-        elif t <= m:  # flip block row b
-            lo, hi = row_off[b], row_off[b + 1]
-            for i in range(lo, hi):
-                data[i] = [-x for x in data[i]]
-    return IntMatrix(data, mat.cols)
+    row_signs = [(-1) ** i for i in range(m) for _ in range(comb(n, i))]
+    col_signs = [-(-1) ** j for j in range(m + 1) for _ in range(comb(n, j))]
+    return IntMatrix.diagonal(row_signs) @ mat @ IntMatrix.diagonal(col_signs)
 
 
 def verify_half_lemma(n: int) -> bool:

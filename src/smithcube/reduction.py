@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bigmat import ElemDivTable, IntMatrix, block_diag, snf, valuation
-from .canonical import build_E, wilson_form
-from .cube import _check_n, graded_blocks
+from .bigmat import (ElemDivTable, IntMatrix, block_diag, p_elementary_divisors,
+                     snf, valuation)
+from .canonical import _check_half, build_E, wilson_form
+from .cube import _check_n, adjacency, graded_blocks, laplacian
 
 
 def _require_even(n: int) -> int:
@@ -49,6 +50,7 @@ def telescoped_multiplicity(n: int, k: int) -> int:
 
 def stacked_basis(n: int, k: int) -> IntMatrix:
     """Block-diagonal sum of the canonical basis matrices for sizes 0..k."""
+    _check_half(n, k)
     return block_diag(*(build_E(n, j).matrix for j in range(k + 1)))
 
 
@@ -398,7 +400,6 @@ def smith_group(n: int) -> SmithGroupSummary:
 
 def smith_group_oracle(n: int) -> SmithGroupSummary:
     """Smith group by generic elimination on the full adjacency matrix."""
-    from .cube import adjacency
     inv = snf(adjacency(n).matrix)
     nonzero: dict = {}
     for d in inv.factors:
@@ -440,8 +441,6 @@ def verify_conjecture(n: int, oracle_cap: int = 10) -> bool:
     """
     _require_even(n)
     if n <= oracle_cap:
-        from .bigmat import p_elementary_divisors
-        from .cube import adjacency
         table = p_elementary_divisors(adjacency(n).matrix, 2)
         divisor_side = {e: c for e, c in table.mult.items() if c}
         free = table.free_rank
@@ -482,8 +481,6 @@ def laplacian_partial_check(n: int) -> LaplacianReport:
         s += 1
     if x != 1 or s < 1:
         raise ValueError(f"n must be a power of two >= 2, got {n}")
-    from .bigmat import p_elementary_divisors
-    from .cube import adjacency, laplacian
     table_a = p_elementary_divisors(adjacency(n).matrix, 2)
     table_l = p_elementary_divisors(laplacian(n), 2)
     comparisons = tuple((i, table_a.mult.get(i, 0), table_l.mult.get(i, 0))

@@ -20,13 +20,6 @@ COLEX = "colex"
 COMPLEMENT = "complement"
 
 
-def check_subset(s: Subset, n: int) -> None:
-    if any(b <= a for a, b in zip(s, s[1:])):
-        raise ValueError(f"elements not strictly increasing: {s}")
-    if s and not (1 <= s[0] and s[-1] <= n):
-        raise ValueError(f"elements of {s} not within 1..{n}")
-
-
 @lru_cache(maxsize=None)
 def _colex_list(n: int, k: int) -> tuple:
     if k == 0:
@@ -37,25 +30,6 @@ def _colex_list(n: int, k: int) -> tuple:
     for top in range(k, n + 1):
         out.extend(s + (top,) for s in _colex_list(top - 1, k - 1))
     return tuple(out)
-
-
-def colex_rank(s: Subset) -> int:
-    """Rank in colex order via the combinatorial number system; O(k)."""
-    return sum(comb(e - 1, i + 1) for i, e in enumerate(s))
-
-
-def colex_unrank(r: int, n: int, k: int) -> Subset:
-    if not 0 <= r < comb(n, k):
-        raise ValueError(f"rank {r} out of range for C({n},{k})")
-    out = []
-    for i in range(k, 0, -1):
-        # largest e with C(e-1, i) <= r
-        e = i
-        while comb(e, i) <= r:
-            e += 1
-        out.append(e)
-        r -= comb(e - 1, i)
-    return tuple(reversed(out))
 
 
 @dataclass(frozen=True)
@@ -78,15 +52,6 @@ class SubsetOrder:
 
     def subsets(self) -> tuple:
         return _order_list(self.n, self.k, self.kind)
-
-    def index(self, s: Subset) -> int:
-        check_subset(s, self.n)
-        if len(s) != self.k:
-            raise ValueError(f"expected a {self.k}-subset, got {s}")
-        if self.kind == COLEX:
-            return colex_rank(s)
-        complement = tuple(x for x in range(1, self.n + 1) if x not in s)
-        return colex_rank(complement)
 
 
 @lru_cache(maxsize=None)
@@ -140,8 +105,5 @@ def incidence_matrix(n: int, t: int, k: int,
             related = (tuple(sorted(s + e)) for e in combinations(rest, k - t))
         else:
             related = combinations(s, k)
-        row = [0] * len(index)
-        for c in related:
-            row[index[c]] = 1
-        data.append(row)
-    return IntMatrix(data, len(index))
+        data.append({index[c]: 1 for c in related})
+    return IntMatrix.from_rows(data, len(index))

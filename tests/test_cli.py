@@ -170,6 +170,18 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify", "half", "3")[0] == 1
 
 
+def test_negative_size_is_usage_error(capsys):
+    # a negative k once built an empty stack, and a negative t surfaced as
+    # an error about math.comb's k
+    for argv, message in ((("Estack", "4", "-1"), "k must be >= 0, got -1"),
+                          (("E", "4", "-1"), "k must be >= 0, got -1"),
+                          (("D", "4", "-1", "1"), "t must be >= 0, got -1"),
+                          (("D", "4", "0", "-1"), "need t <= k, got t=0, k=-1")):
+        code, out, err = run(capsys, "matrix", *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: {message}\n", argv
+
+
 def test_oracle_cap_flag_and_env(capsys, monkeypatch):
     code, _, err = run(capsys, "smith-group", "12", "--method", "oracle",
                        "--cap", "8")

@@ -12,7 +12,6 @@ from smithcube.bigmat import (IntMatrix, _divisibility_chain, from_text, snf,
                               to_text, valuation)
 from smithcube.reduction import (_binomial_row, _positional_merge,
                                  invariant_factor_rle)
-from smithcube.subsets import colex_rank, colex_unrank
 
 # small value -> multiplicity multisets, so the expanded diagonal stays short
 small_counts = st.dictionaries(st.integers(-60, 60).filter(bool),
@@ -107,13 +106,63 @@ def test_snf_invariant_under_signed_relabelling(entries, row_perm, col_perm,
     assert snf(IntMatrix(moved)) == snf(IntMatrix(data))
 
 
-@given(int_matrices(5, st.integers()))
-def test_to_text_from_text_round_trip(m):
-    assert from_text(to_text(m)) == m
+# (operation, on columns, line i, line j, multiplier); i and j are reduced
+# modulo the number of lines when the step is applied
+unimodular_steps = st.lists(st.tuples(st.sampled_from(("add", "swap", "negate")),
+                                      st.booleans(), st.integers(0, 4),
+                                      st.integers(0, 4), st.integers(-4, 4)),
+                            max_size=16)
+
+
+@given(int_matrices(5, st.integers(-6, 6)), unimodular_steps)
+def test_snf_invariant_under_unimodular_operations(m, steps):
+    # adding a multiple of one row (column) to another, swapping two and
+    # negating one are the elementary unimodular operations
+    grid = m.row_lists()
+    for op, on_cols, i, j, c in steps if m.rows and m.cols else ():
+        lines = [list(col) for col in zip(*grid)] if on_cols else grid
+        i, j = i % len(lines), j % len(lines)
+        if op == "add" and i != j:
+            lines[i] = [x + c * y for x, y in zip(lines[i], lines[j])]
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "negate":
+            lines[i] = [-x for x in lines[i]]
+        grid = [list(row) for row in zip(*lines)] if on_cols else lines
+    assert snf(IntMatrix(grid, m.cols)) == snf(m)
 
 
 # often zero, so that zero rows, zero columns and sparse rows occur
 product_entries = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+
+
+@given(st.one_of(int_matrices(5, st.integers()), int_matrices(5, product_entries)))
+def test_to_text_from_text_round_trip(m):
+    assert from_text(to_text(m)) == m
+    # the dense copy builds the same matrix back, and rows handed as
+    # {col: value} dicts with their zeros spelled out give equal storage
+    grid = m.row_lists()
+    assert IntMatrix(grid, m.cols) == m
+    built = IntMatrix.from_rows([dict(enumerate(row)) for row in grid], m.cols)
+    assert built == m and hash(built) == hash(m)
+
+
+@given(int_matrices(5, product_entries), int_matrices(5, product_entries),
+       st.integers(-3, 3), st.data())
+def test_sparse_operations_match_dense_lists(a, b, c, data):
+    grid = a.row_lists()
+    assert a.transpose() == IntMatrix([list(col) for col in zip(*grid)]
+                                      if a.rows else [[]] * a.cols, a.rows)
+    assert a.scale(c) == IntMatrix([[c * x for x in row] for row in grid], a.cols)
+    assert a - a == IntMatrix.zeros(a.rows, a.cols)
+    ri = data.draw(st.lists(st.integers(0, a.rows - 1), max_size=6)) if a.rows else []
+    ci = data.draw(st.lists(st.integers(0, a.cols - 1), max_size=6)) if a.cols else []
+    assert a.submatrix(ri, ci) == IntMatrix([[grid[i][j] for j in ci] for i in ri],
+                                            len(ci))
+    assert [[a[i, j] for j in range(a.cols)] for i in range(a.rows)] == grid
+    if (a.rows, a.cols) == (b.rows, b.cols):
+        assert a + b == IntMatrix([[x + y for x, y in zip(r, s)]
+                                   for r, s in zip(grid, b.row_lists())], a.cols)
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
@@ -140,6 +189,21 @@ def test_intmatrix_rejects_non_integer_entry_anywhere(rows, cols, data, bad):
     grid[i][j] = bad
     with pytest.raises(TypeError):
         IntMatrix(grid, cols)
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([dict(enumerate(row)) for row in grid], cols)
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([{bad: 1}], 2)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.data(),
+       st.one_of(st.integers(-10, -1), st.integers(0, 10)))
+def test_from_rows_refuses_column_out_of_range(rows, cols, data, offset):
+    grid = _grid(data.draw, rows, cols, st.integers())
+    dicts = [dict(enumerate(row)) for row in grid] + [{}]
+    # a negative offset is a negative column, any other lands at cols or above
+    dicts[data.draw(st.integers(0, rows))][offset if offset < 0 else cols + offset] = 1
+    with pytest.raises(ValueError, match="column outside"):
+        IntMatrix.from_rows(dicts, cols)
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
@@ -149,11 +213,4 @@ def test_intmatrix_accepts_int_subclass_entry(rows, cols, data):
     j = data.draw(st.integers(0, cols - 1))
     grid[i][j] = Level.HIGH
     assert IntMatrix(grid, cols)[i, j] == 7
-
-
-@given(st.integers(1, 40).flatmap(
-    lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
-def test_colex_unrank_inverts_rank(case):
-    n, elements = case
-    s = tuple(sorted(elements))
-    assert colex_unrank(colex_rank(s), n, len(s)) == s
+    assert IntMatrix.from_rows([{j: Level.HIGH}], cols)[0, j] == 7

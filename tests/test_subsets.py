@@ -3,8 +3,7 @@ from math import comb
 import pytest
 
 from smithcube.bigmat import IntMatrix
-from smithcube.subsets import (COMPLEMENT, SubsetOrder, colex_rank,
-                               colex_unrank, count_full_rank,
+from smithcube.subsets import (COMPLEMENT, SubsetOrder, count_full_rank,
                                enumerate_subsets, has_full_rank,
                                incidence_matrix)
 
@@ -34,23 +33,6 @@ def test_enumeration_is_complete_and_ordered():
             assert keys == sorted(keys)
 
 
-def test_colex_rank_unrank_bijection():
-    for n in range(1, 11):
-        for k in range(n + 1):
-            for r, s in enumerate(enumerate_subsets(n, k)):
-                assert colex_rank(s) == r
-                assert colex_unrank(r, n, k) == s
-
-
-def test_order_index():
-    order = SubsetOrder(5, 2)
-    for i, s in enumerate(order.subsets()):
-        assert order.index(s) == i
-    comp = SubsetOrder(5, 3, COMPLEMENT)
-    for i, s in enumerate(comp.subsets()):
-        assert comp.index(s) == i
-
-
 def test_order_validation():
     with pytest.raises(ValueError):
         SubsetOrder(4, 5)
@@ -58,10 +40,6 @@ def test_order_validation():
         SubsetOrder(4, 1, COMPLEMENT)  # needs k >= n/2
     with pytest.raises(ValueError):
         SubsetOrder(4, 2, "lex")
-    with pytest.raises(ValueError):
-        SubsetOrder(5, 2).index((2, 1))
-    with pytest.raises(ValueError):
-        SubsetOrder(5, 2).index((1, 2, 3))
 
 
 def test_has_full_rank():
