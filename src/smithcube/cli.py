@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -25,7 +24,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _UsageError(Exception):
-    """Bad input from the command line or environment: exit 1 with a message."""
+    """Bad input from the command line: exit 1 with a message."""
 
 
 def _canonical_json(obj) -> str:
@@ -41,18 +40,6 @@ def _write(text: str, out: str | None) -> None:
             raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _oracle_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("SMITHCUBE_CAP")
-    if not env:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"SMITHCUBE_CAP must be an integer, got {env!r}") from None
 
 
 def _summary_entries(summary) -> list:
@@ -83,7 +70,7 @@ def _emit_report(report: dict, fmt: str, out: str | None) -> None:
 
 def _cmd_smith_group(args) -> int:
     n = args.n
-    cap = _oracle_cap(args)
+    cap = args.cap
     t0 = time.monotonic()
     try:
         if args.method == "closed":
@@ -137,12 +124,13 @@ def _cmd_verify(args) -> int:
     try:
         if args.target == "bier":
             half = n // 2
+            canonical._check_half(n, half)  # refuse before any matrix is built
             failures = [[t, k] for k in range(half + 1) for t in range(k + 1)
                         if not canonical.verify_bier(n, t, k)]
             ok = not failures
             payload = {"checked_up_to": half, "failures": failures}
         elif args.target == "conjecture":
-            ok = reduction.verify_conjecture(n, oracle_cap=_oracle_cap(args))
+            ok = reduction.verify_conjecture(n, oracle_cap=args.cap)
         elif args.target == "half":
             ok = cube.verify_half_lemma(n)
         elif args.target == "conjugacy":
@@ -170,16 +158,16 @@ def _cmd_verify(args) -> int:
 
 # kind -> (arity, builder); the builders look their function up when called
 _MATRICES = {
-    "adjacency": (1, lambda n: cube.adjacency(n).matrix),
-    "monomial": (1, lambda n: cube.monomial_adjacency(n).matrix),
+    "adjacency": (1, lambda n: cube.adjacency(n)),
+    "monomial": (1, lambda n: cube.monomial_adjacency(n)),
     "laplacian": (1, lambda n: cube.laplacian(n)),
     "M": (1, lambda n: cube.blocks(n).M),
     "N": (1, lambda n: cube.blocks(n).N),
     "B": (1, lambda n: reduction.build_B(n)),
     "W": (3, lambda n, t, k: subsets.incidence_matrix(n, t, k)),
-    "E": (2, lambda n, k: canonical.build_E(n, k).matrix),
+    "E": (2, lambda n, k: canonical.build_E(n, k)),
     "Estack": (2, lambda n, k: reduction.stacked_basis(n, k)),
-    "D": (3, lambda n, t, k: canonical.wilson_form(n, t, k).matrix),
+    "D": (3, lambda n, t, k: canonical.wilson_form(n, t, k)),
 }
 
 
@@ -207,7 +195,7 @@ def build_parser() -> _Parser:
     sg.add_argument("--method", choices=["closed", "oracle", "reduction", "all"],
                     default="closed")
     sg.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    sg.add_argument("--cap", type=int, default=None,
+    sg.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP,
                     help="size limit for the elimination oracle")
     sg.add_argument("--out", default=None)
     sg.set_defaults(func=_cmd_smith_group)
@@ -217,7 +205,7 @@ def build_parser() -> _Parser:
                                        "conjugacy", "laplacian"])
     vf.add_argument("n", type=int)
     vf.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    vf.add_argument("--cap", type=int, default=None)
+    vf.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
     vf.add_argument("--out", default=None)
     vf.set_defaults(func=_cmd_verify)
 

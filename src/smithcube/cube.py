@@ -1,9 +1,10 @@
 """The n-cube adjacency matrix in the vertex and monomial bases.
 
-Vertices are identified with subsets of {1..n} and ordered by increasing
-size, colex within each size.  The monomial-basis matrix is block upper
-triangular in this grading; for even n it splits into the two half blocks
-whose Smith data determine the Smith group of the cube.
+Vertices are the subsets of {1..n}, held as bitmasks, and ordered by
+increasing size, colex (increasing mask) within each size.  The
+monomial-basis matrix is block upper triangular in this grading; for even
+n it splits into the two half blocks whose Smith data determine the Smith
+group of the cube.
 """
 from __future__ import annotations
 
@@ -13,10 +14,7 @@ from itertools import accumulate
 from math import comb
 
 from .bigmat import IntMatrix, assemble, snf
-from .subsets import COMPLEMENT, SubsetOrder, enumerate_subsets, incidence_matrix
-
-# 2^n-sized constructions above this n are refused
-SIZE_CAP = 14
+from .subsets import SIZE_CAP, incidence_matrix
 
 
 def _check_n(n: int) -> None:
@@ -28,25 +26,9 @@ def _check_n(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def vertex_order(n: int) -> tuple:
-    """All subsets of {1..n}, size ascending, colex within each size."""
-    out = []
-    for k in range(n + 1):
-        out.extend(enumerate_subsets(n, k))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class CubeAdjacency:
-    n: int
-    matrix: IntMatrix
-    order: tuple
-
-
-@dataclass(frozen=True)
-class MonomialAdjacency:
-    n: int
-    matrix: IntMatrix
-    order: tuple
+    """All subset masks of {1..n}, sorted by (popcount, value)."""
+    # the sort is stable, so each size keeps increasing (colex) order
+    return tuple(sorted(range(1 << n), key=int.bit_count))
 
 
 @dataclass(frozen=True)
@@ -57,33 +39,23 @@ class BlockPair:
     N: IntMatrix
 
 
-def adjacency(n: int) -> CubeAdjacency:
-    """Adjacency matrix of the n-cube: vertices adjacent iff their subsets
-    differ by one element."""
+def adjacency(n: int) -> IntMatrix:
+    """Adjacency matrix of the n-cube: vertices adjacent iff their masks
+    differ in one bit."""
     _check_n(n)
     order = vertex_order(n)
-    index = {s: i for i, s in enumerate(order)}
-    data = []
-    for s in order:
-        row = {}
-        for x in range(1, n + 1):
-            if x in s:
-                t = tuple(e for e in s if e != x)
-            else:
-                t = tuple(sorted(s + (x,)))
-            row[index[t]] = 1
-        data.append(row)
-    return CubeAdjacency(n, IntMatrix.from_rows(data, 1 << n), order)
+    pos = {s: i for i, s in enumerate(order)}
+    bits = [1 << x for x in range(n)]
+    return IntMatrix.from_rows(({pos[s ^ b]: 1 for b in bits} for s in order),
+                               1 << n)
 
 
-def monomial_adjacency(n: int) -> MonomialAdjacency:
+def monomial_adjacency(n: int) -> IntMatrix:
     """Matrix of the adjacency map on the monomial basis: column I carries
     (n - 2|I|) at row I and 1 at each row I minus one element."""
     _check_n(n)
     sizes = range(n + 1)
-    matrix = graded_blocks(n, sizes, sizes,
-                           lambda i: incidence_matrix(n, i, i + 1))
-    return MonomialAdjacency(n, matrix, vertex_order(n))
+    return graded_blocks(n, sizes, sizes, lambda i: incidence_matrix(n, i, i + 1))
 
 
 def zeta_matrix(n: int) -> IntMatrix:
@@ -97,7 +69,7 @@ def zeta_matrix(n: int) -> IntMatrix:
 
 def laplacian(n: int) -> IntMatrix:
     """n*I - A; exposed for the degree-matrix congruence report only."""
-    a = adjacency(n).matrix
+    a = adjacency(n)
     return IntMatrix.identity(a.rows).scale(n) - a
 
 
@@ -105,8 +77,8 @@ def verify_conjugacy(n: int) -> bool:
     """Check A * Z = Z * Atilde, i.e. the vertex-basis and monomial-basis
     matrices represent the same map through the subset-inclusion basis
     change."""
-    a = adjacency(n).matrix
-    at = monomial_adjacency(n).matrix
+    a = adjacency(n)
+    at = monomial_adjacency(n)
     z = zeta_matrix(n)
     return a @ z == z @ at
 
@@ -131,23 +103,19 @@ def graded_blocks(n: int, row_sizes, col_sizes, up) -> IntMatrix:
 def blocks(n: int) -> BlockPair:
     """Assemble the two half blocks of the monomial-basis matrix (n even).
 
-    M covers sizes 0..m in colex orders; N covers sizes m..n in the
-    complement orders, with the second (complement) ordering on the
-    half-size subsets.
+    M covers sizes 0..m in colex order.  N covers sizes m..n with each
+    size listed as the complements of the (n-i)-subsets in colex order, i.e.
+    in decreasing mask order; complementing reverses inclusion, so N's block
+    from size i to i+1 is W_{n-i,n-i-1}.
     """
     _check_n(n)
     if n % 2:
         raise ValueError(f"blocks require even n, got {n}")
     m = n // 2
-
-    def complement(k):
-        return SubsetOrder(n, k, COMPLEMENT)
-
     m_block = graded_blocks(n, range(m), range(m + 1),
                             lambda i: incidence_matrix(n, i, i + 1))
     n_block = graded_blocks(n, range(m, n + 1), range(m + 1, n + 1),
-                            lambda i: incidence_matrix(n, i, i + 1, complement(i),
-                                                       complement(i + 1)))
+                            lambda i: incidence_matrix(n, n - i, n - i - 1))
     return BlockPair(n, m_block, n_block)
 
 
@@ -162,12 +130,6 @@ def _reverse_blocks_transpose(pair: BlockPair) -> IntMatrix:
     rp = perm([comb(n, i) for i in range(m, n + 1)])
     cp = perm([comb(n, i) for i in range(m + 1, n + 1)])
     return pair.N.submatrix(rp, cp).transpose()
-
-
-def n_prime(n: int) -> IntMatrix:
-    """The reversed-and-transposed upper half block: equals M with the signs
-    of the diagonal blocks flipped."""
-    return _reverse_blocks_transpose(blocks(n))
 
 
 def _alternating_sign_fix(mat: IntMatrix, n: int) -> IntMatrix:

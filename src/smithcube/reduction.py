@@ -51,7 +51,7 @@ def telescoped_multiplicity(n: int, k: int) -> int:
 def stacked_basis(n: int, k: int) -> IntMatrix:
     """Block-diagonal sum of the canonical basis matrices for sizes 0..k."""
     _check_half(n, k)
-    return block_diag(*(build_E(n, j).matrix for j in range(k + 1)))
+    return block_diag(*(build_E(n, j) for j in range(k + 1)))
 
 
 def build_B(n: int) -> IntMatrix:
@@ -67,7 +67,7 @@ def build_B(n: int) -> IntMatrix:
     m = _require_even(n)
     _check_n(n)
     return graded_blocks(n, range(m), range(m + 1),
-                         lambda i: wilson_form(n, i, i + 1).matrix)
+                         lambda i: wilson_form(n, i, i + 1))
 
 
 # -- the condensed block shadow -------------------------------------------
@@ -400,7 +400,7 @@ def smith_group(n: int) -> SmithGroupSummary:
 
 def smith_group_oracle(n: int) -> SmithGroupSummary:
     """Smith group by generic elimination on the full adjacency matrix."""
-    inv = snf(adjacency(n).matrix)
+    inv = snf(adjacency(n))
     nonzero: dict = {}
     for d in inv.factors:
         nonzero[d] = nonzero.get(d, 0) + 1
@@ -431,7 +431,7 @@ def same_group(a: SmithGroupSummary, b: SmithGroupSummary) -> bool:
 # -- conjecture and Laplacian reports -------------------------------------
 
 
-def verify_conjecture(n: int, oracle_cap: int = 10) -> bool:
+def verify_conjecture(n: int, oracle_cap: int) -> bool:
     """Multiplicity of 2^i among the 2-elementary divisors equals the count
     of eigenvalues exactly divisible by 2^(i+1); n even.
 
@@ -441,7 +441,7 @@ def verify_conjecture(n: int, oracle_cap: int = 10) -> bool:
     """
     _require_even(n)
     if n <= oracle_cap:
-        table = p_elementary_divisors(adjacency(n).matrix, 2)
+        table = p_elementary_divisors(adjacency(n), 2)
         divisor_side = {e: c for e, c in table.mult.items() if c}
         free = table.free_rank
     else:
@@ -481,7 +481,7 @@ def laplacian_partial_check(n: int) -> LaplacianReport:
         s += 1
     if x != 1 or s < 1:
         raise ValueError(f"n must be a power of two >= 2, got {n}")
-    table_a = p_elementary_divisors(adjacency(n).matrix, 2)
+    table_a = p_elementary_divisors(adjacency(n), 2)
     table_l = p_elementary_divisors(laplacian(n), 2)
     comparisons = tuple((i, table_a.mult.get(i, 0), table_l.mult.get(i, 0))
                         for i in range(s))

@@ -1,76 +1,70 @@
-"""Colexicographic enumeration of k-subsets and the inclusion matrices.
+"""Subsets of {1..n} as bitmasks, their colex enumeration and the inclusion
+matrices.
 
-Subsets of {1..n} are plain tuples of strictly increasing ints.  The primary
-order on k-subsets is colexicographic; the complement order on large subsets
-lists the complements of the small subsets in their colex order.
+A subset of {1..n} is an int mask with element x at bit x - 1.  Colex order
+on the k-subsets is increasing mask value.  Complementing reverses
+inclusion and turns increasing masks into decreasing ones, so no second
+order is needed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Tuple
 
 from .bigmat import IntMatrix
 
-Subset = Tuple[int, ...]
+# no matrix side exceeds 2^SIZE_CAP: the cube matrices (side 2^n) refuse n
+# above SIZE_CAP, and a subset-indexed matrix refuses a side C(n, k) above
+# 2^SIZE_CAP
+SIZE_CAP = 14
 
-COLEX = "colex"
-COMPLEMENT = "complement"
+
+def _check_side(n: int, k: int) -> None:
+    """Refuse C(n, k) k-subsets as a matrix side above 2^SIZE_CAP, before
+    anything is allocated; C(n, j) grows with j up to min(k, n - k), so the
+    loop stops early for a large n."""
+    side = 1
+    for j in range(min(k, n - k)):
+        side = side * (n - j) // (j + 1)
+        if side > 1 << SIZE_CAP:
+            raise ValueError(f"a side of C({n}, {k}) subsets exceeds the "
+                             f"size cap 2^{SIZE_CAP} = {1 << SIZE_CAP}")
+
+
+def _bits(s: int) -> list:
+    """The one-bit masks of s, lowest first."""
+    out = []
+    while s:
+        low = s & -s
+        out.append(low)
+        s ^= low
+    return out
 
 
 @lru_cache(maxsize=None)
-def _colex_list(n: int, k: int) -> tuple:
+def enumerate_subsets(n: int, k: int) -> tuple:
+    """All k-subsets of {1..n} as masks in colex order, i.e. increasing."""
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} out of range for n={n}")
+    _check_side(n, k)
     if k == 0:
-        return ((),)
-    if k > n:
-        return ()
+        return (0,)
     out = []
-    for top in range(k, n + 1):
-        out.extend(s + (top,) for s in _colex_list(top - 1, k - 1))
+    s, end = (1 << k) - 1, 1 << n
+    while s < end:
+        out.append(s)
+        # Gosper's step: the next larger mask with the same popcount
+        low = s & -s
+        ripple = s + low
+        s = (((ripple ^ s) >> 2) // low) | ripple
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SubsetOrder:
-    """A fixed total order on the k-subsets of {1..n}."""
-    n: int
-    k: int
-    kind: str = COLEX
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"k={self.k} out of range for n={self.n}")
-        if self.kind not in (COLEX, COMPLEMENT):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind == COMPLEMENT and 2 * self.k < self.n:
-            raise ValueError("complement order requires k >= n/2")
-
-    def __len__(self) -> int:
-        return comb(self.n, self.k)
-
-    def subsets(self) -> tuple:
-        return _order_list(self.n, self.k, self.kind)
-
-
-@lru_cache(maxsize=None)
-def _order_list(n: int, k: int, kind: str) -> tuple:
-    if kind == COLEX:
-        return _colex_list(n, k)
-    full = range(1, n + 1)
-    return tuple(tuple(x for x in full if x not in set(small))
-                 for small in _colex_list(n, n - k))
-
-
-def enumerate_subsets(n: int, k: int, kind: str = COLEX) -> tuple:
-    """All k-subsets of {1..n} in the requested order."""
-    return SubsetOrder(n, k, kind).subsets()
-
-
-def has_full_rank(t_subset: Subset) -> bool:
-    """Frankl rank test: {i_1 < ... < i_t} has rank t iff i_j >= 2j."""
-    return all(e >= 2 * (j + 1) for j, e in enumerate(t_subset))
+def has_full_rank(s: int) -> bool:
+    """Frankl rank test: {i_1 < ... < i_t} has rank t iff i_j >= 2j, i.e. the
+    j-th lowest set bit of the mask sits at position >= 2j - 1."""
+    return all(low.bit_length() >= 2 * j for j, low in enumerate(_bits(s), 1))
 
 
 def count_full_rank(n: int, t: int) -> int:
@@ -80,30 +74,19 @@ def count_full_rank(n: int, t: int) -> int:
     return comb(n, t) - (comb(n, t - 1) if t >= 1 else 0)
 
 
-def incidence_matrix(n: int, t: int, k: int,
-                     row_order: SubsetOrder | None = None,
-                     col_order: SubsetOrder | None = None) -> IntMatrix:
-    """Matrix of the inclusion map from t-subsets to k-subsets.
+def incidence_matrix(n: int, t: int, k: int) -> IntMatrix:
+    """Matrix of the inclusion map from t-subsets to k-subsets, colex orders.
 
     Entry (r, c) is 1 iff the row subset is contained in the column subset
     (t <= k) or contains it (t >= k).
     """
     if not (0 <= t <= n and 0 <= k <= n):
         raise ValueError(f"sizes t={t}, k={k} out of range for n={n}")
-    row_order = row_order or SubsetOrder(n, t)
-    col_order = col_order or SubsetOrder(n, k)
-    if (row_order.n, row_order.k) != (n, t) or (col_order.n, col_order.k) != (n, k):
-        raise ValueError("orders do not match the requested sizes")
-    # each row lists its k-supersets (t <= k) or k-subsets (t > k), so the
-    # cost follows the nonzeros, not C(n,t) * C(n,k)
-    index = {s: i for i, s in enumerate(col_order.subsets())}
-    full = range(1, n + 1)
-    data = []
-    for s in row_order.subsets():
-        if t <= k:
-            rest = [x for x in full if x not in s]
-            related = (tuple(sorted(s + e)) for e in combinations(rest, k - t))
-        else:
-            related = combinations(s, k)
-        data.append({index[c]: 1 for c in related})
-    return IntMatrix.from_rows(data, len(index))
+    # each larger subset lists the smaller ones among its own bits, and t < k
+    # is the transpose, so the cost follows the nonzeros and never scans all
+    # n bits of a row
+    small, big = min(t, k), max(t, k)
+    pos = {c: i for i, c in enumerate(enumerate_subsets(n, small))}
+    w = IntMatrix.from_rows(({pos[sum(e)]: 1 for e in combinations(_bits(s), small)}
+                             for s in enumerate_subsets(n, big)), len(pos))
+    return w if t >= k else w.transpose()

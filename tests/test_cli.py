@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -38,6 +39,23 @@ MATRIX_SHA256 = {
         "f9ac5ee80f5cf42aed7bd951fb56fb1d3911489e8264c7e596758a0b1feb3055",
     "D 8 2 4":
         "56f381591c4e9b917a6342e71672b9433fd19a2915e06a56d0c7c1db3713eb3a",
+    # recorded from the tuple-based subset construction
+    "adjacency 10":
+        "95de30e1a27849bbc4d3d5a29bda06577c471f17d059e274af45f09cf65f3d98",
+    "monomial 10":
+        "1d236f11f2be84d281e551e33d2ff8838860f53b12746225a39196d2ecf89595",
+    "M 10":
+        "7b113a4abe80426f7dfb696c35cea9aba30efa15638f564138d2e5adba3441a1",
+    "N 10":
+        "d11226bfa3ec896dff27dcb5f029301abb6df6e352df3cf2479d322239a5981a",
+    "B 10":
+        "655f4519706f19726a96ef5b9489fe527cb18e3520cded7189ca9906f81f8385",
+    "E 10 5":
+        "5fbdec01762832b9a825755b318a2f629d3f1a0d78de30aa790458b3c6df37d5",
+    "W 10 4 5":
+        "7fa99683e391df840471c25f298d25faeb9bbc047a76607c2b15aa85f0216497",
+    "W 10 5 4":
+        "19669a4c14e2bfbf24050f3ec95f35cb3e4a6c21a58836b15a524f1c7da2fd74",
 }
 
 
@@ -182,15 +200,11 @@ def test_negative_size_is_usage_error(capsys):
         assert err == f"error: {message}\n", argv
 
 
-def test_oracle_cap_flag_and_env(capsys, monkeypatch):
+def test_oracle_cap_flag(capsys):
     code, _, err = run(capsys, "smith-group", "12", "--method", "oracle",
                        "--cap", "8")
     assert code == 1
     assert err == "error: oracle method limited to n <= 8\n"
-    monkeypatch.setenv("SMITHCUBE_CAP", "6")
-    code, _, err = run(capsys, "smith-group", "8", "--method", "oracle")
-    assert code == 1
-    assert "n <= 6" in err
 
 
 def test_oversized_oracle_refused_before_any_matrix(capsys, monkeypatch):
@@ -206,13 +220,17 @@ def test_oversized_oracle_refused_before_any_matrix(capsys, monkeypatch):
         assert err == f"error: n={n} exceeds the size cap 14\n"
 
 
-def test_bad_cap_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SMITHCUBE_CAP", "abc")
-    for argv in (("smith-group", "4"), ("verify", "conjecture", "4")):
+def test_oversized_subset_matrix_refused_before_allocation(capsys):
+    # C(30, 15) subsets once ended in a MemoryError, a lost stderr or a run
+    # that did not finish
+    for argv in (("matrix", "W", "30", "15", "15"), ("matrix", "D", "30", "15", "15"),
+                 ("verify", "bier", "30")):
+        t0 = time.monotonic()
         code, out, err = run(capsys, *argv)
-        assert code == 1, argv
-        assert out == ""
-        assert err == "error: SMITHCUBE_CAP must be an integer, got 'abc'\n"
+        assert time.monotonic() - t0 < 1.0, argv
+        assert (code, out) == (1, ""), argv
+        assert err == ("error: a side of C(30, 15) subsets exceeds the size "
+                       "cap 2^14 = 16384\n"), argv
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

@@ -1,53 +1,65 @@
+import time
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from smithcube.bigmat import IntMatrix
-from smithcube.subsets import (COMPLEMENT, SubsetOrder, count_full_rank,
-                               enumerate_subsets, has_full_rank,
-                               incidence_matrix)
+from smithcube.subsets import (count_full_rank, enumerate_subsets,
+                               has_full_rank, incidence_matrix)
+
+
+def _mask(subset):
+    return sum(1 << (x - 1) for x in subset)
+
+
+def _elements(mask):
+    return tuple(x for x in range(1, mask.bit_length() + 1) if mask >> (x - 1) & 1)
 
 
 def test_colex_order_n4_k2():
-    assert enumerate_subsets(4, 2) == \
-        ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
+    assert enumerate_subsets(4, 2) == (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)
 
 
 def test_empty_subset_order():
-    assert enumerate_subsets(7, 0) == ((),)
+    assert enumerate_subsets(7, 0) == (0,)
 
 
 def test_complement_order_n4_k3():
-    # complements of {1},{2},{3},{4} in colex order
-    assert enumerate_subsets(4, 3, COMPLEMENT) == \
-        ((2, 3, 4), (1, 3, 4), (1, 2, 4), (1, 2, 3))
+    # the complements of {1},{2},{3},{4} in colex order are the 3-subsets
+    # in decreasing mask order
+    assert tuple(0b1111 ^ s for s in enumerate_subsets(4, 1)) == \
+        (0b1110, 0b1101, 0b1011, 0b0111) == enumerate_subsets(4, 3)[::-1]
 
 
 def test_enumeration_is_complete_and_ordered():
+    # against an independent tuple reference: colex is the order of the
+    # reversed tuples
     for n in range(9):
         for k in range(n + 1):
+            reference = sorted(combinations(range(1, n + 1), k),
+                               key=lambda s: tuple(reversed(s)))
             subs = enumerate_subsets(n, k)
             assert len(subs) == comb(n, k)
-            assert len(set(subs)) == len(subs)
-            keys = [tuple(reversed(s)) for s in subs]
-            assert keys == sorted(keys)
+            assert subs == tuple(_mask(s) for s in reference)
 
 
 def test_order_validation():
-    with pytest.raises(ValueError):
-        SubsetOrder(4, 5)
-    with pytest.raises(ValueError):
-        SubsetOrder(4, 1, COMPLEMENT)  # needs k >= n/2
-    with pytest.raises(ValueError):
-        SubsetOrder(4, 2, "lex")
+    for n, k in ((4, 5), (4, -1), (0, 1)):
+        with pytest.raises(ValueError, match=f"^k={k} out of range for n={n}$"):
+            enumerate_subsets(n, k)
 
 
 def test_has_full_rank():
-    assert has_full_rank((2, 4))
-    assert not has_full_rank((1, 4))
-    assert has_full_rank(())
-    assert has_full_rank((2, 4, 6, 8))
-    assert not has_full_rank((2, 3, 5))
+    assert has_full_rank(_mask((2, 4)))
+    assert not has_full_rank(_mask((1, 4)))
+    assert has_full_rank(0)
+    assert has_full_rank(_mask((2, 4, 6, 8)))
+    assert not has_full_rank(_mask((2, 3, 5)))
+    # every mask for n <= 12 against the tuple definition i_j >= 2j
+    for mask in range(1 << 12):
+        expected = all(e >= 2 * j for j, e in enumerate(_elements(mask), 1))
+        assert has_full_rank(mask) == expected, mask
 
 
 def test_count_full_rank_values():
@@ -88,17 +100,18 @@ def test_incidence_bounds():
     with pytest.raises(ValueError):
         incidence_matrix(3, 4, 1)
     with pytest.raises(ValueError):
-        incidence_matrix(4, 1, 2, row_order=SubsetOrder(4, 2))
+        incidence_matrix(3, 1, -1)
 
 
 def test_complement_transpose_identity():
+    # complementing reverses inclusion and the colex order of masks
     for n in range(2, 11):
         for k in range(1, n // 2 + 1):
             for t in range(k):
-                big = incidence_matrix(n, n - k, n - t,
-                                       SubsetOrder(n, n - k, COMPLEMENT),
-                                       SubsetOrder(n, n - t, COMPLEMENT))
-                assert big == incidence_matrix(n, t, k).transpose()
+                big = incidence_matrix(n, n - k, n - t)
+                flipped = big.submatrix(range(big.rows - 1, -1, -1),
+                                        range(big.cols - 1, -1, -1))
+                assert flipped == incidence_matrix(n, t, k).transpose()
 
 
 def test_inclusion_composition():
@@ -109,3 +122,13 @@ def test_inclusion_composition():
                     lhs = incidence_matrix(n, t, k) @ incidence_matrix(n, k, l)
                     rhs = incidence_matrix(n, t, l).scale(comb(l - t, k - t))
                     assert lhs == rhs
+
+
+def test_incidence_cost_follows_nonzeros_at_large_n():
+    # a row never scans all n bits: W(16384, 1, 0) once took minutes
+    n = 1 << 14
+    t0 = time.monotonic()
+    assert incidence_matrix(n, 1, 0) == IntMatrix([[1]] * n)
+    assert incidence_matrix(n, 0, 1) == IntMatrix([[1] * n])
+    assert incidence_matrix(n, 1, 1) == IntMatrix.identity(n)
+    assert time.monotonic() - t0 < 5.0
