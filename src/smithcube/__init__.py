@@ -2,7 +2,7 @@
 
 from .bigmat import (DiagonalForm, ElemDivTable, IntMatrix, InvariantFactors,
                      block_diag, diagonal_form_to_invariant_factors, from_text,
-                     is_unimodular, p_elementary_divisors, snf, to_text)
+                     p_elementary_divisors, snf, to_text)
 from .canonical import (build_E, build_E_jk, verify_bier, wilson_diagonal,
                         wilson_form)
 from .cube import (BlockPair, adjacency, blocks, laplacian, monomial_adjacency,

@@ -352,11 +352,10 @@ def _eliminate(m: IntMatrix) -> list:
     """Diagonalize an integer matrix by unimodular row and column operations
     on a sparse copy; returns the list of nonzero diagonal entries produced.
 
-    Each stored row becomes a {col: value} dict, and a column -> row-set index mirrors
-    them.  The pivot is an active entry of the smallest absolute value,
-    ties going to the least Markowitz cost (row length - 1) * (column
-    length - 1).  Rows are visited shortest first, and the search stops once
-    no longer row can beat the best unit pivot found.
+    Each stored row becomes a {col: value} dict, and a column -> row-set
+    index mirrors them.  The pivot row is the shortest active row, and the
+    pivot is its entry of least absolute value, ties going to the shortest
+    column.
 
     Row operations with the pivot row clear the pivot column; column
     operations then reduce the pivot row, and they touch only that row
@@ -375,18 +374,9 @@ def _eliminate(m: IntMatrix) -> list:
                 cols.setdefault(j, set()).add(i)
     diag = []
     while rows:
-        cmin = min(map(len, cols.values())) - 1
-        best = cost = pr = pc = None
-        for r in sorted(rows, key=lambda r: len(rows[r])):
-            row = rows[r]
-            lr = len(row) - 1
-            if best == 1 and lr * cmin >= cost:
-                break
-            for c, v in row.items():
-                a = abs(v)
-                if best is None or a < best or (
-                        a == best and lr * (len(cols[c]) - 1) < cost):
-                    best, cost, pr, pc = a, lr * (len(cols[c]) - 1), r, c
+        pr = min(rows, key=lambda r: len(rows[r]))
+        row = rows[pr]
+        pc = min(row, key=lambda c: (abs(row[c]), len(cols[c])))
         while True:
             prow = rows[pr]
             p = prow[pc]
@@ -469,13 +459,6 @@ def p_elementary_divisors(m: IntMatrix, p: int) -> ElemDivTable:
         e = valuation(d, p)
         mult[e] = mult.get(e, 0) + 1
     return ElemDivTable(p, mult, inv.zero_count)
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    """True iff m is square with determinant +-1."""
-    if m.rows != m.cols:
-        raise ValueError("unimodularity requires a square matrix")
-    return abs(m.determinant()) == 1
 
 
 # -- sparse-triple text format --------------------------------------------

@@ -23,10 +23,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-class _UsageError(Exception):
-    """Bad input from the command line: exit 1 with a message."""
-
-
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -37,7 +33,7 @@ def _write(text: str, out: str | None) -> None:
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -72,27 +68,23 @@ def _cmd_smith_group(args) -> int:
     n = args.n
     cap = args.cap
     t0 = time.monotonic()
-    try:
-        if args.method == "closed":
-            summaries = {"closed": reduction.smith_group(n)}
-        elif args.method == "reduction":
-            summaries = {"reduction": reduction.smith_group_reduction(n)}
-        elif args.method == "oracle":
-            if n > cap:
-                raise _UsageError(f"oracle method limited to n <= {cap}")
-            summaries = {"oracle": reduction.smith_group_oracle(n)}
-        else:  # all
-            if n % 2 and n > cap:
-                raise _UsageError(f"odd n = {n} is above the oracle cap {cap}, "
-                                  "so no route checks the closed form")
-            summaries = {"closed": reduction.smith_group(n)}
-            if n % 2 == 0:
-                summaries["reduction"] = reduction.smith_group_reduction(n)
-            if n <= cap:
-                summaries["oracle"] = reduction.smith_group_oracle(n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.method == "closed":
+        summaries = {"closed": reduction.smith_group(n)}
+    elif args.method == "reduction":
+        summaries = {"reduction": reduction.smith_group_reduction(n)}
+    elif args.method == "oracle":
+        if n > cap:
+            raise ValueError(f"oracle method limited to n <= {cap}")
+        summaries = {"oracle": reduction.smith_group_oracle(n)}
+    else:  # all
+        if n % 2 and n > cap:
+            raise ValueError(f"odd n = {n} is above the oracle cap {cap}, "
+                             "so no route checks the closed form")
+        summaries = {"closed": reduction.smith_group(n)}
+        if n % 2 == 0:
+            summaries["reduction"] = reduction.smith_group_reduction(n)
+        if n <= cap:
+            summaries["oracle"] = reduction.smith_group_oracle(n)
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     names = sorted(summaries)
     base = summaries[names[0]]
@@ -118,31 +110,27 @@ def _cmd_smith_group(args) -> int:
 def _cmd_verify(args) -> int:
     n = args.n
     if n < 1:
-        raise _UsageError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {n}")
     t0 = time.monotonic()
     payload: dict = {}
-    try:
-        if args.target == "bier":
-            half = n // 2
-            canonical._check_half(n, half)  # refuse before any matrix is built
-            failures = [[t, k] for k in range(half + 1) for t in range(k + 1)
-                        if not canonical.verify_bier(n, t, k)]
-            ok = not failures
-            payload = {"checked_up_to": half, "failures": failures}
-        elif args.target == "conjecture":
-            ok = reduction.verify_conjecture(n, oracle_cap=args.cap)
-        elif args.target == "half":
-            ok = cube.verify_half_lemma(n)
-        elif args.target == "conjugacy":
-            ok = cube.verify_conjugacy(n)
-        else:  # laplacian
-            rep = reduction.laplacian_partial_check(n)
-            ok = rep.ok
-            payload = {"comparisons": [list(c) for c in rep.comparisons],
-                       "s": rep.s}
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.target == "bier":
+        half = n // 2
+        canonical._check_half(n, half)  # refuse before any matrix is built
+        failures = [[t, k] for k in range(half + 1) for t in range(k + 1)
+                    if not canonical.verify_bier(n, t, k)]
+        ok = not failures
+        payload = {"checked_up_to": half, "failures": failures}
+    elif args.target == "conjecture":
+        ok = reduction.verify_conjecture(n, oracle_cap=args.cap)
+    elif args.target == "half":
+        ok = cube.verify_half_lemma(n)
+    elif args.target == "conjugacy":
+        ok = cube.verify_conjugacy(n)
+    else:  # laplacian
+        rep = reduction.laplacian_partial_check(n)
+        ok = rep.ok
+        payload = {"comparisons": [list(c) for c in rep.comparisons],
+                   "s": rep.s}
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     report = {
         "command": "verify",
@@ -174,13 +162,8 @@ _MATRICES = {
 def _cmd_matrix(args) -> int:
     arity, build = _MATRICES[args.kind]
     if len(args.params) != arity:
-        raise _UsageError(f"matrix kind {args.kind} takes {arity} parameter(s)")
-    try:
-        mat = build(*args.params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write(bigmat.to_text(mat), args.out)
+        raise ValueError(f"matrix kind {args.kind} takes {arity} parameter(s)")
+    _write(bigmat.to_text(build(*args.params)), args.out)
     return 0
 
 
@@ -225,7 +208,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except ValueError as exc:  # every usage error, bad --out included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,7 @@ from .bigmat import (ElemDivTable, IntMatrix, block_diag, p_elementary_divisors,
                      snf, valuation)
 from .canonical import _check_half, build_E, wilson_form
 from .cube import _check_n, adjacency, graded_blocks, laplacian
+from .subsets import count_full_rank
 
 
 def _require_even(n: int) -> int:
@@ -101,9 +102,6 @@ class CondensedMatrix:
     def col_labels(self) -> tuple:
         return tuple((j, l) for j in range(self.m + 1) for l in range(1, j + 2))
 
-    def shape(self) -> tuple:
-        return (self.m * (self.m + 1) // 2, (self.m + 1) * (self.m + 2) // 2)
-
     def __post_init__(self):
         self.validate()
 
@@ -146,10 +144,8 @@ def build_condensed(m: int, n: int | None = None) -> CondensedMatrix:
         n = 2 * m
     if n % 2 or n < 2 * m:
         raise ValueError(f"n must be even and >= 2m = {2 * m}, got {n}")
-    binom = _binomial_row(n, m)
     # row (i, k) stands for count_full_rank(n, k - 1) rows, whatever i is
-    weight_of_k = {k: binom[k - 1] - (binom[k - 2] if k >= 2 else 0)
-                   for k in range(1, m + 1)}
+    weight_of_k = {k: count_full_rank(n, k - 1) for k in range(1, m + 1)}
     entries = {}
     weights = {}
     for i in range(1, m + 1):
@@ -358,17 +354,8 @@ class SmithGroupSummary:
     free_rank: int
     nonzero: dict  # diagonal entry -> multiplicity
 
-    def total(self) -> int:
-        return self.free_rank + sum(self.nonzero.values())
-
     def invariant_factor_rle(self) -> tuple:
         return invariant_factor_rle(self.nonzero)
-
-    def to_text(self) -> str:
-        lines = [f"free_rank {self.free_rank}"]
-        for k in sorted(self.nonzero):
-            lines.append(f"{k} {self.nonzero[k]}")
-        return "\n".join(lines) + "\n"
 
 
 def eigenvalue_diagonal(n: int) -> dict:

@@ -16,8 +16,10 @@ from .bigmat import IntMatrix
 
 # no matrix side exceeds 2^SIZE_CAP: the cube matrices (side 2^n) refuse n
 # above SIZE_CAP, and a subset-indexed matrix refuses a side C(n, k) above
-# 2^SIZE_CAP
+# 2^SIZE_CAP; an inclusion matrix also refuses more nonzeros than the
+# 3^SIZE_CAP of zeta_matrix(SIZE_CAP)
 SIZE_CAP = 14
+NONZERO_CAP = 3 ** SIZE_CAP
 
 
 def _check_side(n: int, k: int) -> None:
@@ -82,10 +84,16 @@ def incidence_matrix(n: int, t: int, k: int) -> IntMatrix:
     """
     if not (0 <= t <= n and 0 <= k <= n):
         raise ValueError(f"sizes t={t}, k={k} out of range for n={n}")
+    small, big = min(t, k), max(t, k)
+    _check_side(n, small)
+    _check_side(n, big)
+    nonzeros = comb(n, big) * comb(big, small)
+    if nonzeros > NONZERO_CAP:
+        raise ValueError(f"W({n}, {t}, {k}) has {nonzeros} nonzeros, above the "
+                         f"cap 3^{SIZE_CAP} = {NONZERO_CAP}")
     # each larger subset lists the smaller ones among its own bits, and t < k
     # is the transpose, so the cost follows the nonzeros and never scans all
     # n bits of a row
-    small, big = min(t, k), max(t, k)
     pos = {c: i for i, c in enumerate(enumerate_subsets(n, small))}
     w = IntMatrix.from_rows(({pos[sum(e)]: 1 for e in combinations(_bits(s), small)}
                              for s in enumerate_subsets(n, big)), len(pos))

@@ -5,8 +5,7 @@ import pytest
 from smithcube.bigmat import (DiagonalForm, ElemDivTable, IntMatrix,
                               InvariantFactors, assemble, block_diag,
                               diagonal_form_to_invariant_factors, from_text,
-                              is_unimodular, p_elementary_divisors, snf,
-                              to_text, valuation)
+                              p_elementary_divisors, snf, to_text, valuation)
 
 
 def test_snf_coprime_diagonal():
@@ -77,17 +76,14 @@ def test_p_elementary_divisors_rejects_composites():
             p_elementary_divisors(IntMatrix.identity(2), p)
 
 
-def test_is_unimodular():
-    assert is_unimodular(IntMatrix.identity(5))
-    assert not is_unimodular(IntMatrix.diagonal([1, 2]))
-    with pytest.raises(ValueError):
-        is_unimodular(IntMatrix.zeros(2, 3))
-
-
 def test_determinant_values():
     assert IntMatrix([[1, 2], [3, 4]]).determinant() == -2
     assert IntMatrix([[2, 0, 1], [0, 3, 0], [1, 0, 1]]).determinant() == 3
     assert IntMatrix.zeros(3, 3).determinant() == 0
+    assert IntMatrix.identity(5).determinant() == 1
+    assert IntMatrix.diagonal([1, 2]).determinant() == 2
+    with pytest.raises(ValueError):
+        IntMatrix.zeros(2, 3).determinant()
 
 
 def test_constructors_and_errors():
@@ -195,7 +191,7 @@ def test_snf_unimodular_invariance():
         m = _random_matrix(rng, rows, cols)
         u = _random_unimodular(rng, rows)
         v = _random_unimodular(rng, cols)
-        assert is_unimodular(u) and is_unimodular(v)
+        assert abs(u.determinant()) == 1 and abs(v.determinant()) == 1
         assert snf(u @ m @ v) == snf(m)
 
 

@@ -222,15 +222,21 @@ def test_oversized_oracle_refused_before_any_matrix(capsys, monkeypatch):
 
 def test_oversized_subset_matrix_refused_before_allocation(capsys):
     # C(30, 15) subsets once ended in a MemoryError, a lost stderr or a run
-    # that did not finish
-    for argv in (("matrix", "W", "30", "15", "15"), ("matrix", "D", "30", "15", "15"),
-                 ("verify", "bier", "30")):
+    # that did not finish, and so did W(16384, 1, 16383): both sides within
+    # the cap, but 16384 * 16383 nonzeros
+    side = "error: a side of C(30, 15) subsets exceeds the size cap 2^14 = 16384\n"
+    for argv, expected in (
+            (("matrix", "W", "30", "15", "15"), side),
+            (("matrix", "D", "30", "15", "15"), side),
+            (("verify", "bier", "30"), side),
+            (("matrix", "W", "16384", "1", "16383"),
+             "error: W(16384, 1, 16383) has 268419072 nonzeros, above the cap "
+             "3^14 = 4782969\n")):
         t0 = time.monotonic()
         code, out, err = run(capsys, *argv)
         assert time.monotonic() - t0 < 1.0, argv
         assert (code, out) == (1, ""), argv
-        assert err == ("error: a side of C(30, 15) subsets exceeds the size "
-                       "cap 2^14 = 16384\n"), argv
+        assert err == expected, argv
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

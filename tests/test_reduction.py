@@ -85,11 +85,11 @@ def test_telescoping():
 
 def test_build_condensed_shapes():
     c = build_condensed(5, 10)
-    assert c.shape() == (15, 21)
     assert len(c.row_labels()) == 15
     assert len(c.col_labels()) == 21
     c1 = build_condensed(1, 2)
-    assert c1.shape() == (1, 3)
+    assert len(c1.row_labels()) == 1
+    assert len(c1.col_labels()) == 3
     assert c1.entries[((1, 1), (0, 1))] == 2
     assert c1.entries[((1, 1), (1, 1))] == 1
     assert c1.row_weights[(1, 1)] == 1
@@ -175,11 +175,12 @@ def test_smith_group_fixtures():
 
 def test_smith_group_total_conservation():
     for n in range(1, 21):
-        assert smith_group(n).total() == 1 << n
+        g = smith_group(n)
+        assert g.free_rank + sum(g.nonzero.values()) == 1 << n
 
 
 def test_oracle_matches_closed_form():
-    for n in range(1, 9):
+    for n in range(1, 10):
         assert same_group(smith_group_oracle(n), smith_group(n)), n
 
 
@@ -222,7 +223,7 @@ def test_eigenvalue_diagonal():
 
 
 def test_laplacian_partial():
-    for n in (2, 4):
+    for n in (2, 4, 8):
         rep = laplacian_partial_check(n)
         assert rep.ok
         assert len(rep.comparisons) == rep.s
@@ -237,10 +238,6 @@ def test_invariant_factor_rle_units():
     assert invariant_factor_rle({2: 2, 3: 1}) == ((1, 1), (2, 1), (6, 1))
     with pytest.raises(ValueError):
         invariant_factor_rle({0: 1})
-
-
-def test_summary_to_text():
-    assert smith_group(2).to_text() == "free_rank 2\n1 2\n"
 
 
 def test_build_B_n10_superdiagonals():
