@@ -11,7 +11,6 @@ size copies of the same shadow, scaled by 2.  Recursing yields the complete
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .bigmat import (ElemDivTable, IntMatrix, block_diag, p_elementary_divisors,
@@ -74,12 +73,11 @@ def build_B(n: int) -> IntMatrix:
 # -- the condensed block shadow -------------------------------------------
 
 
-def _v2(x: Fraction) -> int:
-    num, den = x.numerator, x.denominator
-    if num == 0:
+def _v2(x: int) -> int:
+    if x == 0:
         raise ValueError("2-adic valuation of zero")
     # the lowest set bit of an integer is its largest power-of-two divisor
-    return (num & -num).bit_length() - (den & -den).bit_length()
+    return (x & -x).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -91,9 +89,32 @@ class CondensedMatrix:
     (i-1, k) and the exact value i+1-k at column (i, k).  The weight of row
     (i, k) is the number of matrix rows the block row stands for.  Every
     instance is validated once, on construction.
+
+    The entries are elements of Z_(2), the integers localised at 2, held
+    as plain ints.  A diagonal entry is its exact value i+1-k.  An even
+    entry is its residue mod 2^precision, an int v with 0 < v < 2^precision;
+    this is exact as long as its 2-adic valuation stays below precision, so
+    that a nonzero element never has residue 0.  `build_condensed` chooses a
+    precision for which that holds at every depth of the recursion:
+
+    - For a fixed k, the rows (i, k) form a bidiagonal chain of length
+      L = m-k+1; with n = 2m its even entries 2(L+1-j), j = 1..L, have
+      valuations 1 + v2(L+1-j).
+    - A reduction step merges two neighbouring even entries o, o' of a chain
+      into -o o'/(2q), with q odd, so the new v-1 is the sum of their v-1;
+      the chains of a residual are the halved chains of its parent.
+    - By Legendre's formula every valuation at every depth is therefore at
+      most 1 + v2(L!) <= m (for n > 2m, 1 + v2((n/2)!) <= n/2).
+    - Each step halves, costing one bit, and the recursion is at most
+      m.bit_length() steps deep, so n/2 + m.bit_length() + 2 bits at the top
+      level keep every nonzero entry, and the product -o o' before its
+      halving, nonzero at every depth.  A cancellation x - x = 0 is exact.
     """
     m: int
-    entries: dict  # (row_label, col_label) -> Fraction, odd denominators
+    precision: int  # the even entries are residues mod 2^precision
+    # (row_label, col_label) -> int: the exact diagonal value i+1-k, or the
+    # even entry's residue v, 0 < v < 2^precision, of valuation <= n/2
+    entries: dict
     row_weights: dict  # row_label -> positive int
 
     def row_labels(self) -> tuple:
@@ -106,29 +127,32 @@ class CondensedMatrix:
         self.validate()
 
     def validate(self) -> None:
-        rows = set(self.row_labels())
-        cols = set(self.col_labels())
-        if set(self.row_weights) != rows:
+        m, top = self.m, 1 << self.precision
+        weights = self.row_weights
+        # distinct keys, as many as labels and each in range: exactly the labels
+        if (len(weights) != m * (m + 1) // 2
+                or not all(1 <= k <= i <= m for i, k in weights)):
             raise ValueError("row weights do not cover the row labels")
-        if any(w <= 0 for w in self.row_weights.values()):
+        if any(w <= 0 for w in weights.values()):
             raise ValueError("non-positive row weight")
         for (r, c), v in self.entries.items():
-            if r not in rows or c not in cols:
+            if r not in weights:
                 raise ValueError(f"entry at unknown position {(r, c)}")
             i, k = r
             if v == 0:
                 raise ValueError(f"explicit zero stored at {(r, c)}")
-            if v.denominator % 2 == 0:
-                raise ValueError(f"entry at {(r, c)} is not 2-local")
-            if c == (i, k):
-                if v != i + 1 - k:
+            if c == r:
+                if type(v) is not int or v != i + 1 - k:
                     raise ValueError(f"bad diagonal value {v} at {(r, c)}")
             elif c == (i - 1, k):
+                if type(v) is not int or not 0 < v < top:
+                    raise ValueError(f"entry {v} at {(r, c)} is not a residue "
+                                     f"mod 2^{self.precision}")
                 if _v2(v) < 1:
                     raise ValueError(f"odd entry {v} on the even diagonal at {(r, c)}")
             else:
                 raise ValueError(f"entry outside the two diagonals at {(r, c)}")
-        for (i, k) in rows:
+        for (i, k) in weights:
             if ((i, k), (i, k)) not in self.entries:
                 raise ValueError(f"missing diagonal value at {(i, k)}")
             if ((i, k), (i - 1, k)) not in self.entries:
@@ -137,7 +161,9 @@ class CondensedMatrix:
 
 def build_condensed(m: int, n: int | None = None) -> CondensedMatrix:
     """Condensed shadow of B for half-size m, with the concrete even values
-    n - 2(i-1) on the main diagonal and weights taken from the block sizes."""
+    n - 2(i-1) on the main diagonal and weights taken from the block sizes.
+    The even entries are residues mod 2^(n/2 + m.bit_length() + 2), enough
+    for the whole recursion (see `CondensedMatrix`)."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if n is None:
@@ -149,12 +175,12 @@ def build_condensed(m: int, n: int | None = None) -> CondensedMatrix:
     entries = {}
     weights = {}
     for i in range(1, m + 1):
-        even = Fraction(n - 2 * (i - 1))
+        even = n - 2 * (i - 1)  # 2 <= even < 2^precision: its own residue
         for k in range(1, i + 1):
             entries[((i, k), (i - 1, k))] = even
-            entries[((i, k), (i, k))] = Fraction(i + 1 - k)
+            entries[((i, k), (i, k))] = i + 1 - k
             weights[(i, k)] = weight_of_k[k]
-    return CondensedMatrix(m, entries, weights)
+    return CondensedMatrix(m, n // 2 + m.bit_length() + 2, entries, weights)
 
 
 @dataclass(frozen=True)
@@ -174,8 +200,14 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
     a row operation then kills the even entry below the pivot.  The surviving
     rows and columns split by parity of the block index into two copies of
     the half-size shadow, scaled by 2.
+
+    Arithmetic is mod 2^precision: dividing by q multiplies by its inverse
+    mod 2^precision, and halving an even residue shifts it right by one bit,
+    so the residuals hold residues mod 2^(precision-1).
     """
     m = c.m
+    modulus = 1 << c.precision
+    mask = modulus - 1
     rows: dict = {r: {} for r in c.row_labels()}
     cols: dict = {cl: set() for cl in c.col_labels()}
     for (r, cl), v in c.entries.items():
@@ -183,7 +215,8 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
         cols[cl].add(r)
 
     def add_to(r, cl, delta):
-        cur = rows[r].get(cl, Fraction(0)) + delta
+        # only even entries change: a diagonal value is never a target
+        cur = (rows[r].get(cl, 0) + delta) & mask
         if cur:
             rows[r][cl] = cur
             cols[cl].add(r)
@@ -198,8 +231,9 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
         src = (i, k)
         dst = (i - 1, k)
         q = rows[src][src]
-        assert q == i + 1 - k and int(q) % 2 == 1
-        t = rows[src][dst] / q
+        assert q == i + 1 - k and q % 2 == 1
+        inverse = pow(q, -1, modulus)
+        t = rows[src][dst] * inverse & mask
         assert _v2(t) >= 1
         for r in list(cols[src]):
             add_to(r, dst, -t * rows[r][src])
@@ -207,11 +241,11 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
             below = (i + 1, k)
             tv = rows[below].get(src)
             if tv is not None:
-                f = tv / q
+                f = tv * inverse & mask
                 assert _v2(f) >= 1
                 for cl in list(rows[src]):
                     add_to(below, cl, -f * rows[src][cl])
-        odd_out.append((int(q), c.row_weights[src]))
+        odd_out.append((q, c.row_weights[src]))
 
     # the pivot rows and columns must now be clean
     for (i, k) in pivots:
@@ -219,33 +253,29 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
         assert cols[(i, k)] == {(i, k)}
     pivot_set = set(pivots)
 
-    def residual(parity: int, new_m: int) -> CondensedMatrix:
-        def map_row(lab):
-            i, k = lab
-            return (i // 2, (k + 1) // 2) if parity == 0 else ((i - 1) // 2, k // 2)
-
-        def map_col(lab):
-            j, l = lab
-            return (j // 2, (l + 1) // 2) if parity == 0 else ((j - 1) // 2, l // 2)
-
-        entries = {}
-        weights = {}
-        for r in rows:
-            i, k = r
-            if r in pivot_set or i % 2 != parity:
-                continue
-            nr = map_row(r)
-            weights[nr] = c.row_weights[r]
-            for cl, v in rows[r].items():
-                j, _ = cl
-                assert j % 2 == parity, "entry crossing the parity split"
-                half = v / 2
-                entries[(nr, map_col(cl))] = half
-        return CondensedMatrix(new_m, entries, weights)
-
-    step = ReductionStep(tuple(odd_out), residual(0, m // 2),
-                         residual(1, (m - 1) // 2))
-    return step
+    # row or column (j, l) of parity j % 2 becomes (j // 2, (l + 1 - j % 2) // 2)
+    # of that parity's residual, with every entry halved
+    split = (({}, {}), ({}, {}))  # (entries, weights) of the even, odd residual
+    for r, row in rows.items():
+        if r in pivot_set:
+            continue
+        i, k = r
+        parity = i & 1
+        shift = 1 - parity
+        entries, weights = split[parity]
+        nr = (i >> 1, (k + shift) >> 1)
+        weights[nr] = c.row_weights[r]
+        for (j, l), v in row.items():
+            assert j & 1 == parity, "entry crossing the parity split"
+            assert not v & 1, "odd entry in a surviving row"
+            # an exact even diagonal value halves exactly, and an even
+            # residue mod 2^P halves to a residue mod 2^(P-1)
+            entries[(nr, (j >> 1, (l + shift) >> 1))] = v >> 1
+    (even_entries, even_weights), (odd_entries, odd_weights) = split
+    return ReductionStep(
+        tuple(odd_out),
+        CondensedMatrix(m // 2, c.precision - 1, even_entries, even_weights),
+        CondensedMatrix((m - 1) // 2, c.precision - 1, odd_entries, odd_weights))
 
 
 def two_local_divisors_of_M(n: int) -> ElemDivTable:

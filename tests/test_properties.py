@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from smithcube.bigmat import (IntMatrix, _divisibility_chain, from_text, snf,
                               to_text, valuation)
-from smithcube.reduction import (_binomial_row, _positional_merge,
+from smithcube.reduction import (_binomial_row, _positional_merge, _v2,
                                  invariant_factor_rle)
 
 # small value -> multiplicity multisets, so the expanded diagonal stays short
@@ -31,6 +31,18 @@ def _rle(chain: list) -> tuple:
 @given(st.integers(0, 300), st.integers(0, 300))
 def test_binomial_row_matches_comb(n, k):
     assert _binomial_row(n, k) == [comb(n, j) for j in range(k + 1)]
+
+
+@given(st.integers().filter(bool), st.integers(0, 400))
+def test_v2_matches_valuation(unit, shift):
+    # nonzero ints of either sign, with valuations up to past 400
+    x = unit << shift
+    assert _v2(x) == valuation(x, 2)
+
+
+def test_v2_of_zero_raises():
+    with pytest.raises(ValueError):
+        _v2(0)
 
 
 @given(small_counts)

@@ -5,10 +5,10 @@ import pytest
 
 from smithcube import reduction
 from smithcube.bigmat import (ElemDivTable, IntMatrix, p_elementary_divisors,
-                              snf)
+                              snf, valuation)
 from smithcube.canonical import wilson_form
 from smithcube.cube import adjacency, blocks
-from smithcube.reduction import (CondensedMatrix, build_B, build_condensed,
+from smithcube.reduction import (CondensedMatrix, _v2, build_B, build_condensed,
                                  eigenvalue_diagonal, invariant_factor_rle,
                                  laplacian_partial_check, reduce_condensed,
                                  same_group, smith_group, smith_group_oracle,
@@ -104,14 +104,17 @@ def test_build_condensed_rejects_odd_or_small_n():
 
 def test_condensed_validation_rejects_bad_values():
     c = build_condensed(2, 4)
-    bad = dict(c.entries)
-    bad[((2, 1), (2, 1))] = Fraction(3)  # exact value must be 2
-    with pytest.raises(ValueError):
-        CondensedMatrix(2, bad, dict(c.row_weights)).validate()
-    odd = dict(c.entries)
-    odd[((1, 1), (0, 1))] = Fraction(3)  # even diagonal must stay even
-    with pytest.raises(ValueError):
-        CondensedMatrix(2, odd, dict(c.row_weights)).validate()
+    even = ((1, 1), (0, 1))
+    for position, value, message in (
+            (((2, 1), (2, 1)), 3, "bad diagonal value"),  # exact value must be 2
+            (even, 3, "odd entry"),  # even diagonal must stay even
+            (even, 0, "explicit zero"),
+            (even, (1 << c.precision) + 4, "not a residue"),  # not reduced
+            (even, -4, "not a residue")):
+        bad = dict(c.entries)
+        bad[position] = value
+        with pytest.raises(ValueError, match=message):
+            CondensedMatrix(2, c.precision, bad, dict(c.row_weights))
 
 
 def test_reduce_condensed_m1():
@@ -141,17 +144,67 @@ def test_reduce_condensed_m5_residual_sizes():
 
 def test_structural_recursion_closes():
     # every reduction step of every residual must keep the two-diagonal
-    # shape, for all half-sizes up to 40
-    for m in range(1, 41):
+    # shape, for all half-sizes up to 64, and no even entry may have a
+    # valuation above m, the bound that sizes the residues
+    for m in range(1, 65):
         n = 2 * m
         stack = [build_condensed(m, n)]
         while stack:
             c = stack.pop()
+            assert all(_v2(v) <= m for (r, cl), v in c.entries.items() if r != cl)
             if c.m == 0:
                 continue
             step = reduce_condensed(c)
             stack.append(step.even_residual)
             stack.append(step.odd_residual)
+
+
+def _exact_step(m: int, even: dict, weights: dict) -> tuple:
+    """One reduction step over Z_(2) in Fractions, row by row.
+
+    even maps row (i, k) to its exact even entry; the diagonal value is
+    i+1-k.  A pivot row (i, k) (odd i+1-k) is dropped, and the row below it
+    gets -o o' / q, halved, in the column left of the pivot's."""
+    pivots = []
+    halves = (({}, {}), ({}, {}))
+    for i in range(1, m + 1):
+        for k in range(1, i + 1):
+            if (i + 1 - k) % 2:
+                pivots.append((i + 1 - k, weights[(i, k)]))
+                continue
+            merged = -even[(i - 1, k)] * even[(i, k)] / (i - k) / 2
+            parity = i % 2
+            label = (i // 2, (k + 1 - parity) // 2)
+            halves[parity][0][label] = merged
+            halves[parity][1][label] = weights[(i, k)]
+    return tuple(pivots), halves
+
+
+def test_reduction_matches_exact_fractions():
+    # each step's odd pivots and the valuation of every residual entry
+    # equal an exact computation over Z_(2), for all half-sizes up to 40
+    for m in range(1, 41):
+        n = 2 * m
+        top = build_condensed(m, n)
+        even = {(i, k): Fraction(n - 2 * (i - 1)) for (i, k) in top.row_weights}
+        stack = [(top, even, dict(top.row_weights))]
+        while stack:
+            c, even, weights = stack.pop()
+            if c.m == 0:
+                continue
+            step = reduce_condensed(c)
+            pivots, halves = _exact_step(c.m, even, weights)
+            assert step.odd_pivots == pivots, m
+            for residual, (exact, exact_weights) in zip(
+                    (step.even_residual, step.odd_residual), halves):
+                assert residual.row_weights == exact_weights, m
+                for (i, k), x in exact.items():
+                    v = residual.entries[((i, k), (i - 1, k))]
+                    assert x.denominator % 2 == 1
+                    assert _v2(v) == (valuation(x.numerator, 2)
+                                      - valuation(x.denominator, 2)), m
+                    assert residual.entries[((i, k), (i, k))] == i + 1 - k
+                stack.append((residual, exact, exact_weights))
 
 
 def test_two_local_matches_oracle():
