@@ -6,7 +6,7 @@ from .bigmat import (DiagonalForm, ElemDivTable, IntMatrix, InvariantFactors,
 from .canonical import (build_E, build_E_jk, verify_bier, wilson_diagonal,
                         wilson_form)
 from .cube import (BlockPair, adjacency, blocks, laplacian, monomial_adjacency,
-                   verify_conjugacy, verify_half_lemma, zeta_matrix)
+                   verify_conjugacy, verify_half_lemma)
 from .reduction import (CondensedMatrix, SmithGroupSummary, build_B,
                         build_condensed, laplacian_partial_check,
                         reduce_condensed, same_group, smith_group,

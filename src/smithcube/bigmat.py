@@ -119,6 +119,10 @@ class IntMatrix:
         k = bisect_left(row, (j,))
         return row[k][1] if k < len(row) and row[k][0] == j else 0
 
+    def pairs(self, i: int) -> tuple:
+        """The stored nonzero (col, value) pairs of row i, in column order."""
+        return self._data[i]
+
     def row(self, i: int) -> tuple:
         """Dense copy of row i."""
         out = [0] * self.cols

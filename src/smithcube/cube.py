@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb
 
 from .bigmat import IntMatrix, assemble, snf
@@ -58,29 +58,42 @@ def monomial_adjacency(n: int) -> IntMatrix:
     return graded_blocks(n, sizes, sizes, lambda i: incidence_matrix(n, i, i + 1))
 
 
-def zeta_matrix(n: int) -> IntMatrix:
-    """Basis change from monomials to vertex indicators: entry (S, I) is 1
-    iff I is a subset of S.  Lower unitriangular in the graded order."""
-    _check_n(n)
-    sizes = [comb(n, i) for i in range(n + 1)]
-    return assemble(sizes, sizes,
-                    lambda s, i: incidence_matrix(n, s, i) if i <= s else None)
-
-
 def laplacian(n: int) -> IntMatrix:
     """n*I - A; exposed for the degree-matrix congruence report only."""
     a = adjacency(n)
     return IntMatrix.identity(a.rows).scale(n) - a
 
 
+def _subset_sums(n: int, rows) -> list:
+    """Yates' subset sums of rows given in vertex order: entry S of the
+    result, indexed by mask, is the sum of the rows of all subsets of S."""
+    sums = [0] * (1 << n)
+    for s, row in zip(vertex_order(n), rows):
+        sums[s] = row
+    for b, s in product([1 << x for x in range(n)], range(1 << n)):
+        if s & b:
+            sums[s] += sums[s ^ b]
+    return sums
+
+
 def verify_conjugacy(n: int) -> bool:
-    """Check A * Z = Z * Atilde, i.e. the vertex-basis and monomial-basis
-    matrices represent the same map through the subset-inclusion basis
-    change."""
-    a = adjacency(n)
-    at = monomial_adjacency(n)
-    z = zeta_matrix(n)
-    return a @ z == z @ at
+    """Check A * Z = Z * Atilde, where Z (entry (S, I) = 1 iff I is a subset
+    of S) takes monomials to vertex indicators, so both matrices represent
+    the same map.  Each row is packed into one int, column c at bits w*c as
+    an exact signed sum; Z's rows and Z * Atilde's are subset sums, and row
+    S of A * Z is the sum of A[S, T] * Z[T], so Z's 3^n nonzeros are never
+    listed.  An entry of A * Z is at most A's largest absolute row sum and
+    one of Z * Atilde at most Atilde's largest absolute column sum; w is two
+    bits wider than both, so no slot reaches half its range and two packed
+    rows are equal exactly when they are equal slot by slot."""
+    a, at, order = adjacency(n), monomial_adjacency(n), vertex_order(n)
+    w = max(sum(abs(v) for _, v in m.pairs(i)) for m in (a, at.transpose())
+            for i in range(m.rows)).bit_length() + 2
+    z = _subset_sums(n, (1 << w * c for c in range(1 << n)))
+    zat = _subset_sums(n, (sum(v << w * c for c, v in at.pairs(i))
+                           for i in range(at.rows)))
+    return all(sum(v * z[order[c]] for c, v in a.pairs(i)) == zat[s]
+               for i, s in enumerate(order))
 
 
 def graded_blocks(n: int, row_sizes, col_sizes, up) -> IntMatrix:

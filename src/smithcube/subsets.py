@@ -16,8 +16,8 @@ from .bigmat import IntMatrix
 
 # no matrix side exceeds 2^SIZE_CAP: the cube matrices (side 2^n) refuse n
 # above SIZE_CAP, and a subset-indexed matrix refuses a side C(n, k) above
-# 2^SIZE_CAP; an inclusion matrix also refuses more nonzeros than the
-# 3^SIZE_CAP of zeta_matrix(SIZE_CAP)
+# 2^SIZE_CAP; an inclusion matrix also refuses more nonzeros than 3^SIZE_CAP,
+# the number of pairs I within S of subsets of {1..SIZE_CAP}
 SIZE_CAP = 14
 NONZERO_CAP = 3 ** SIZE_CAP
 

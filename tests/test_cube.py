@@ -1,11 +1,14 @@
+import json
+from itertools import accumulate
 from math import comb
 
 import pytest
 
+from smithcube import cli, cube
 from smithcube.bigmat import IntMatrix, snf
 from smithcube.cube import (adjacency, blocks, laplacian, monomial_adjacency,
-                            verify_conjugacy, verify_half_lemma, vertex_order,
-                            zeta_matrix)
+                            verify_conjugacy, verify_half_lemma, vertex_order)
+from smithcube.subsets import incidence_matrix
 
 # displayed lower half block of the 4-cube's monomial-basis matrix
 M4 = IntMatrix([[4, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
@@ -61,15 +64,56 @@ def test_monomial_adjacency_columns_n2():
     assert [at[i, empty] for i in range(4)] == [2, 0, 0, 0]
 
 
-def test_zeta_matrix_n1_and_determinant():
-    assert zeta_matrix(1) == IntMatrix([[1, 0], [1, 1]])
-    for n in (2, 3, 4):
-        assert zeta_matrix(n).determinant() == 1
+def test_packed_zeta_rows_are_the_inclusion_blocks():
+    # Z's rows as Yates' subset sums of unit rows, two bits per slot so that a
+    # stray 2 would show, unpack to the lower unitriangular block matrix whose
+    # block (s, i) is W(n, s, i) for i <= s
+    for n in range(1, 9):
+        side = 1 << n
+        z = cube._subset_sums(n, (1 << 2 * c for c in range(side)))
+        zeta = IntMatrix([[(z[s] >> 2 * c) & 3 for c in range(side)]
+                          for s in vertex_order(n)])
+        ends = [0, *accumulate(comb(n, i) for i in range(n + 1))]
+        for s in range(n + 1):
+            for i in range(n + 1):
+                block = zeta.submatrix(range(ends[s], ends[s + 1]),
+                                       range(ends[i], ends[i + 1]))
+                if i > s:
+                    assert block == IntMatrix.zeros(comb(n, s), comb(n, i))
+                else:
+                    assert block == incidence_matrix(n, s, i), (n, s, i)
+                if i == s:
+                    assert block == IntMatrix.identity(comb(n, s))
 
 
 def test_conjugacy():
-    for n in range(1, 9):
+    for n in range(1, 13):
         assert verify_conjugacy(n), n
+
+
+def _with_entry(m: IntMatrix, i: int, j: int, value: int) -> IntMatrix:
+    delta = IntMatrix.from_rows(({j: value - m[i, j]} if r == i else {}
+                                 for r in range(m.rows)), m.cols)
+    return m + delta
+
+
+@pytest.mark.parametrize("builder, entry, new_value", [
+    ("adjacency", (1, 2), lambda x: 1 - x),
+    ("monomial_adjacency", (0, 1), lambda x: 1 - x),
+    # a huge entry widens every slot instead of spilling into its neighbours
+    ("monomial_adjacency", (0, 0), lambda x: 2 ** 40),
+], ids=["flip-A", "flip-Atilde", "huge-Atilde"])
+def test_conjugacy_fails_on_one_changed_entry(capsys, monkeypatch, builder,
+                                              entry, new_value):
+    build = getattr(cube, builder)
+
+    def changed(n):
+        m = build(n)
+        return _with_entry(m, *entry, new_value(m[entry]))
+    monkeypatch.setattr(cube, builder, changed)
+    assert verify_conjugacy(4) is False
+    assert cli.main(["verify", "conjugacy", "4"]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "mismatch"
 
 
 def test_blocks_match_display_n4():
