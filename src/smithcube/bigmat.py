@@ -280,22 +280,7 @@ def block_diag(*blocks: IntMatrix) -> IntMatrix:
                     lambda i, j: blocks[i] if i == j else None)
 
 
-# -- diagonal forms and invariant factors ---------------------------------
-
-
-@dataclass(frozen=True)
-class DiagonalForm:
-    """Multiset of nonzero diagonal entries plus the count of zero positions."""
-    nonzero_entries: tuple
-    zero_count: int
-    ambient: tuple  # (rows, cols) of the diagonalized matrix
-
-    def __post_init__(self):
-        if any(e == 0 for e in self.nonzero_entries):
-            raise ValueError("zero listed among nonzero entries")
-        rows, cols = self.ambient
-        if len(self.nonzero_entries) + self.zero_count != min(rows, cols):
-            raise ValueError("entry count does not fill the diagonal")
+# -- invariant factors and elementary divisors ----------------------------
 
 
 @dataclass(frozen=True)
@@ -317,14 +302,8 @@ class InvariantFactors:
 class ElemDivTable:
     """Multiplicities of p^e among the elementary divisors, for one prime p."""
     prime: int
-    mult: dict
+    mult: dict  # exponent -> multiplicity; no zero multiplicity is stored
     free_rank: int
-
-    def __eq__(self, other):
-        return (isinstance(other, ElemDivTable) and self.prime == other.prime
-                and self.free_rank == other.free_rank
-                and {e: c for e, c in self.mult.items() if c}
-                == {e: c for e, c in other.mult.items() if c})
 
 
 def _divisibility_chain(entries: Iterable[int]) -> list:
@@ -344,12 +323,6 @@ def _divisibility_chain(entries: Iterable[int]) -> list:
                 di = g
         d[i] = di
     return d
-
-
-def diagonal_form_to_invariant_factors(d: DiagonalForm) -> InvariantFactors:
-    """Invariant factors of any diagonal form; sign and order independent."""
-    return InvariantFactors(tuple(_divisibility_chain(d.nonzero_entries)),
-                            d.zero_count)
 
 
 def _eliminate(m: IntMatrix) -> list:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -67,6 +68,14 @@ def _emit_report(report: dict, fmt: str, out: str | None) -> None:
 def _cmd_smith_group(args) -> int:
     n = args.n
     cap = args.cap
+    # every printed integer is below 2^n, so it has at most
+    # floor(n log10 2) + 1 digits, more than the interpreter converts to
+    # text exactly when n >= limit * log2 10 (no limit: 0, or before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n >= limit * math.log2(10):
+        raise ValueError(f"n = {n} may print integers of more than {limit} "
+                         "digits, the interpreter's limit for integer "
+                         "string conversion")
     t0 = time.monotonic()
     if args.method == "closed":
         summaries = {"closed": reduction.smith_group(n)}

@@ -34,17 +34,6 @@ def _binomial_row(n: int, k: int) -> list:
     return row
 
 
-def telescoped_multiplicity(n: int, k: int) -> int:
-    """Sum over i = k..m of [C(n,i-k) - C(n,i-1-k)]; telescopes to C(n,m-k)."""
-    m = _require_even(n)
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} out of range 1..{m}")
-    total = 0
-    for i in range(k, m + 1):
-        total += comb(n, i - k) - (comb(n, i - 1 - k) if i - 1 - k >= 0 else 0)
-    return total
-
-
 # -- the conjugated half block B ------------------------------------------
 
 
@@ -73,13 +62,6 @@ def build_B(n: int) -> IntMatrix:
 # -- the condensed block shadow -------------------------------------------
 
 
-def _v2(x: int) -> int:
-    if x == 0:
-        raise ValueError("2-adic valuation of zero")
-    # the lowest set bit of an integer is its largest power-of-two divisor
-    return (x & -x).bit_length() - 1
-
-
 @dataclass(frozen=True)
 class CondensedMatrix:
     """Blockwise shadow of B: one weighted entry per scalar block.
@@ -104,16 +86,16 @@ class CondensedMatrix:
       into -o o'/(2q), with q odd, so the new v-1 is the sum of their v-1;
       the chains of a residual are the halved chains of its parent.
     - By Legendre's formula every valuation at every depth is therefore at
-      most 1 + v2(L!) <= m (for n > 2m, 1 + v2((n/2)!) <= n/2).
+      most 1 + v2(L!) <= m.
     - Each step halves, costing one bit, and the recursion is at most
-      m.bit_length() steps deep, so n/2 + m.bit_length() + 2 bits at the top
+      m.bit_length() steps deep, so m + m.bit_length() + 2 bits at the top
       level keep every nonzero entry, and the product -o o' before its
       halving, nonzero at every depth.  A cancellation x - x = 0 is exact.
     """
     m: int
     precision: int  # the even entries are residues mod 2^precision
     # (row_label, col_label) -> int: the exact diagonal value i+1-k, or the
-    # even entry's residue v, 0 < v < 2^precision, of valuation <= n/2
+    # even entry's residue v, 0 < v < 2^precision, of valuation <= m
     entries: dict
     row_weights: dict  # row_label -> positive int
 
@@ -148,7 +130,7 @@ class CondensedMatrix:
                 if type(v) is not int or not 0 < v < top:
                     raise ValueError(f"entry {v} at {(r, c)} is not a residue "
                                      f"mod 2^{self.precision}")
-                if _v2(v) < 1:
+                if v & 1:
                     raise ValueError(f"odd entry {v} on the even diagonal at {(r, c)}")
             else:
                 raise ValueError(f"entry outside the two diagonals at {(r, c)}")
@@ -159,17 +141,14 @@ class CondensedMatrix:
                 raise ValueError(f"missing even entry in row {(i, k)}")
 
 
-def build_condensed(m: int, n: int | None = None) -> CondensedMatrix:
-    """Condensed shadow of B for half-size m, with the concrete even values
+def build_condensed(m: int) -> CondensedMatrix:
+    """Condensed shadow of B for n = 2m, with the concrete even values
     n - 2(i-1) on the main diagonal and weights taken from the block sizes.
-    The even entries are residues mod 2^(n/2 + m.bit_length() + 2), enough
+    The even entries are residues mod 2^(m + m.bit_length() + 2), enough
     for the whole recursion (see `CondensedMatrix`)."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if n is None:
-        n = 2 * m
-    if n % 2 or n < 2 * m:
-        raise ValueError(f"n must be even and >= 2m = {2 * m}, got {n}")
+    n = 2 * m
     # row (i, k) stands for count_full_rank(n, k - 1) rows, whatever i is
     weight_of_k = {k: count_full_rank(n, k - 1) for k in range(1, m + 1)}
     entries = {}
@@ -180,7 +159,7 @@ def build_condensed(m: int, n: int | None = None) -> CondensedMatrix:
             entries[((i, k), (i - 1, k))] = even
             entries[((i, k), (i, k))] = i + 1 - k
             weights[(i, k)] = weight_of_k[k]
-    return CondensedMatrix(m, n // 2 + m.bit_length() + 2, entries, weights)
+    return CondensedMatrix(m, m + m.bit_length() + 2, entries, weights)
 
 
 @dataclass(frozen=True)
@@ -234,7 +213,7 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
         assert q == i + 1 - k and q % 2 == 1
         inverse = pow(q, -1, modulus)
         t = rows[src][dst] * inverse & mask
-        assert _v2(t) >= 1
+        assert t and not t & 1
         for r in list(cols[src]):
             add_to(r, dst, -t * rows[r][src])
         if i < m:
@@ -242,7 +221,7 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
             tv = rows[below].get(src)
             if tv is not None:
                 f = tv * inverse & mask
-                assert _v2(f) >= 1
+                assert f and not f & 1
                 for cl in list(rows[src]):
                     add_to(below, cl, -f * rows[src][cl])
         odd_out.append((q, c.row_weights[src]))
@@ -286,7 +265,7 @@ def two_local_divisors_of_M(n: int) -> ElemDivTable:
     """
     m = _require_even(n)
     mult: dict = {}
-    stack = [(build_condensed(m, n), 0)]
+    stack = [(build_condensed(m), 0)]
     while stack:
         c, depth = stack.pop()
         if c.m == 0:
@@ -459,11 +438,11 @@ def verify_conjecture(n: int, oracle_cap: int) -> bool:
     _require_even(n)
     if n <= oracle_cap:
         table = p_elementary_divisors(adjacency(n), 2)
-        divisor_side = {e: c for e, c in table.mult.items() if c}
+        divisor_side = table.mult
         free = table.free_rank
     else:
         half = two_local_divisors_of_M(n).mult
-        divisor_side = {e: 2 * c for e, c in half.items() if c}
+        divisor_side = {e: 2 * c for e, c in half.items()}
         free = (1 << n) - 2 * sum(half.values())
     eigen_side: dict = {}
     zero_eigen = 0
@@ -491,13 +470,9 @@ class LaplacianReport:
 def laplacian_partial_check(n: int) -> LaplacianReport:
     """For n = 2^s the adjacency and Laplacian matrices agree mod 2^s, so the
     multiplicities of 2^i agree for i < s.  Verified with the oracle."""
-    s = 0
-    x = n
-    while x > 1 and x % 2 == 0:
-        x //= 2
-        s += 1
-    if x != 1 or s < 1:
+    if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
+    s = n.bit_length() - 1
     table_a = p_elementary_divisors(adjacency(n), 2)
     table_l = p_elementary_divisors(laplacian(n), 2)
     comparisons = tuple((i, table_a.mult.get(i, 0), table_l.mult.get(i, 0))

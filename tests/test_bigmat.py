@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from smithcube.bigmat import (DiagonalForm, ElemDivTable, IntMatrix,
-                              InvariantFactors, assemble, block_diag,
-                              diagonal_form_to_invariant_factors, from_text,
+from smithcube.bigmat import (ElemDivTable, IntMatrix, InvariantFactors,
+                              assemble, block_diag, from_text,
                               p_elementary_divisors, snf, to_text, valuation)
 
 
@@ -32,25 +31,18 @@ def test_snf_rectangular():
 
 
 def test_diagonal_form_valuation_sort():
-    d = DiagonalForm((3, 3, 1, 1, 1, 1, 1, 1), 0, (8, 8))
-    assert diagonal_form_to_invariant_factors(d).factors == (1, 1, 1, 1, 1, 1, 3, 3)
+    d = IntMatrix.diagonal((3, 3, 1, 1, 1, 1, 1, 1))
+    assert snf(d).factors == (1, 1, 1, 1, 1, 1, 3, 3)
 
 
 def test_diagonal_form_with_zeros():
-    d = DiagonalForm((1,) * 8 + (2, 2), 6, (16, 16))
-    inv = diagonal_form_to_invariant_factors(d)
+    inv = snf(IntMatrix.diagonal((1,) * 8 + (2, 2) + (0,) * 6))
     assert inv.factors == (1,) * 8 + (2, 2)
     assert inv.zero_count == 6
 
 
 def test_diagonal_form_sign_invariance():
-    d = DiagonalForm((-5,), 0, (1, 1))
-    assert diagonal_form_to_invariant_factors(d).factors == (5,)
-
-
-def test_diagonal_form_rejects_zero_entry():
-    with pytest.raises(ValueError):
-        DiagonalForm((1, 0), 0, (2, 2))
+    assert snf(IntMatrix.diagonal((-5,))).factors == (5,)
 
 
 def test_invariant_factors_validation():
@@ -221,8 +213,7 @@ def test_diagonal_conversion_preserves_valuations():
     for _ in range(20):
         entries = tuple(rng.choice([-1, 1]) * rng.randint(1, 60)
                         for _ in range(rng.randint(1, 8)))
-        d = DiagonalForm(entries, 0, (len(entries), len(entries)))
-        inv = diagonal_form_to_invariant_factors(d)
+        inv = snf(IntMatrix.diagonal(entries))
         for p in (2, 3, 5, 7):
             assert sorted(valuation(abs(e), p) for e in entries) == \
                 sorted(valuation(f, p) for f in inv.factors)

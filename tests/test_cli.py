@@ -1,6 +1,8 @@
 import hashlib
 import json
+import sys
 import time
+from itertools import product
 
 import pytest
 
@@ -258,3 +260,66 @@ def test_cross_check_mismatch_exits_2(capsys, monkeypatch):
     report = json.loads(out)
     assert report["status"] == "mismatch"
     assert "payload" in report
+
+
+@pytest.fixture
+def default_str_digits():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no integer string conversion limit before 3.10.7")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_unprintable_n_refused_before_any_route(capsys, default_str_digits):
+    # every printed integer is below 2^n; under the default limit of 4300
+    # digits, n = 14400 once ran its routes and then failed inside
+    # json.dumps with the interpreter's own message
+    for argv in (("smith-group", "14400"),
+                 ("smith-group", "14400", "--method", "all")):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - t0 < 0.5, argv
+        assert (code, out) == (1, ""), argv
+        assert err == ("error: n = 14400 may print integers of more than 4300 "
+                       "digits, the interpreter's limit for integer string "
+                       "conversion\n"), argv
+    assert run(capsys, "smith-group", "14285")[0] == 1
+    # at the smallest limit, 640 digits, the last n answered is 2126: 2^2126
+    # has 640 digits and 2^2127 has 641
+    sys.set_int_max_str_digits(640)
+    for fmt in ("json", "csv", "text"):
+        assert run(capsys, "smith-group", "2126", "--format", fmt)[0] == 0
+    code, out, err = run(capsys, "smith-group", "2127")
+    assert (code, out) == (1, "") and "more than 640 digits" in err
+
+
+def _sweep_argv():
+    sizes = [str(x) for x in range(-2, 7)]
+    for fmt in ("json", "csv", "text"):
+        for n in sizes:
+            for method in ("closed", "oracle", "reduction", "all"):
+                yield ["smith-group", n, "--method", method, "--format", fmt]
+            for target in ("bier", "conjecture", "half", "conjugacy",
+                           "laplacian"):
+                yield ["verify", target, n, "--format", fmt]
+    for kind, (arity, _) in cli._MATRICES.items():
+        yield from (["matrix", kind, *params]
+                    for params in product(sizes, repeat=arity))
+
+
+def test_every_command_exits_cleanly(capsys):
+    # every subcommand, target, kind and format, with n, t and k in -2..6:
+    # no exception escapes main, and a refusal is one error line on stderr
+    count = 0
+    for argv in _sweep_argv():
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert out == "", argv
+            lines = err.splitlines()
+            assert "error: " in lines[-1], argv
+            assert sum("error:" in line for line in lines) == 1, argv
+        count += 1
+    assert count == 1917

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from smithcube.bigmat import (IntMatrix, _divisibility_chain, from_text, snf,
                               to_text, valuation)
-from smithcube.reduction import (_binomial_row, _positional_merge, _v2,
+from smithcube.reduction import (_binomial_row, _positional_merge,
                                  invariant_factor_rle)
 
 # small value -> multiplicity multisets, so the expanded diagonal stays short
@@ -35,14 +35,15 @@ def test_binomial_row_matches_comb(n, k):
 
 @given(st.integers().filter(bool), st.integers(0, 400))
 def test_v2_matches_valuation(unit, shift):
-    # nonzero ints of either sign, with valuations up to past 400
+    # nonzero ints of either sign, with valuations up to past 400: the
+    # 2-adic valuation is the index of the lowest set bit
     x = unit << shift
-    assert _v2(x) == valuation(x, 2)
+    assert valuation(x, 2) == (x & -x).bit_length() - 1
 
 
 def test_v2_of_zero_raises():
-    with pytest.raises(ValueError):
-        _v2(0)
+    with pytest.raises(ValueError, match="valuation of zero"):
+        valuation(0, 2)
 
 
 @given(small_counts)

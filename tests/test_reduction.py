@@ -8,12 +8,11 @@ from smithcube.bigmat import (ElemDivTable, IntMatrix, p_elementary_divisors,
                               snf, valuation)
 from smithcube.canonical import wilson_form
 from smithcube.cube import adjacency, blocks
-from smithcube.reduction import (CondensedMatrix, _v2, build_B, build_condensed,
+from smithcube.reduction import (CondensedMatrix, build_B, build_condensed,
                                  eigenvalue_diagonal, invariant_factor_rle,
                                  laplacian_partial_check, reduce_condensed,
                                  same_group, smith_group, smith_group_oracle,
                                  smith_group_reduction, stacked_basis,
-                                 telescoped_multiplicity,
                                  two_local_divisors_of_M, verify_conjecture)
 from smithcube.subsets import count_full_rank
 
@@ -77,17 +76,20 @@ def test_stacked_basis_shape():
 
 
 def test_telescoping():
+    # the sum over i = k..m of C(n, i-k) - C(n, i-1-k), with C(n, -1) = 0
     for n in range(2, 42, 2):
         m = n // 2
         for k in range(1, m + 1):
-            assert telescoped_multiplicity(n, k) == comb(n, m - k)
+            total = sum(comb(n, i - k) - (comb(n, i - 1 - k) if i > k else 0)
+                        for i in range(k, m + 1))
+            assert total == comb(n, m - k), (n, k)
 
 
 def test_build_condensed_shapes():
-    c = build_condensed(5, 10)
+    c = build_condensed(5)
     assert len(c.row_labels()) == 15
     assert len(c.col_labels()) == 21
-    c1 = build_condensed(1, 2)
+    c1 = build_condensed(1)
     assert len(c1.row_labels()) == 1
     assert len(c1.col_labels()) == 3
     assert c1.entries[((1, 1), (0, 1))] == 2
@@ -95,15 +97,19 @@ def test_build_condensed_shapes():
     assert c1.row_weights[(1, 1)] == 1
 
 
-def test_build_condensed_rejects_odd_or_small_n():
-    for m, n in ((1, 5), (2, 3), (3, 4), (2, -4)):
-        with pytest.raises(ValueError, match=f"got {n}$"):
-            build_condensed(m, n)
-    assert build_condensed(1, 4).entries[((1, 1), (0, 1))] == 4
+def test_build_condensed_rejects_negative_m():
+    for m in (-1, -2):
+        with pytest.raises(ValueError, match=f"m must be >= 0, got {m}$"):
+            build_condensed(m)
+    assert build_condensed(0).entries == {}
+    for m in (1, 2, 5, 64):
+        c = build_condensed(m)
+        assert c.precision == m + m.bit_length() + 2
+        assert c.entries[((1, 1), (0, 1))] == 2 * m
 
 
 def test_condensed_validation_rejects_bad_values():
-    c = build_condensed(2, 4)
+    c = build_condensed(2)
     even = ((1, 1), (0, 1))
     for position, value, message in (
             (((2, 1), (2, 1)), 3, "bad diagonal value"),  # exact value must be 2
@@ -118,7 +124,7 @@ def test_condensed_validation_rejects_bad_values():
 
 
 def test_reduce_condensed_m1():
-    step = reduce_condensed(build_condensed(1, 2))
+    step = reduce_condensed(build_condensed(1))
     assert step.odd_pivots == ((1, 1),)
     assert step.even_residual.m == 0
     assert step.odd_residual.m == 0
@@ -128,7 +134,7 @@ def test_reduce_condensed_m1():
 
 def test_reduce_condensed_m2():
     # rows (1,1),(2,1),(2,2); odd exact values at (1,1) and (2,2)
-    step = reduce_condensed(build_condensed(2, 4))
+    step = reduce_condensed(build_condensed(2))
     assert sorted(step.odd_pivots) == [(1, 1), (1, 3)]
     # the surviving row (2,1) has even block index: one half-size copy
     assert step.even_residual.m == 1
@@ -137,7 +143,7 @@ def test_reduce_condensed_m2():
 
 
 def test_reduce_condensed_m5_residual_sizes():
-    step = reduce_condensed(build_condensed(5, 10))
+    step = reduce_condensed(build_condensed(5))
     assert step.even_residual.m == 2
     assert step.odd_residual.m == 2
 
@@ -147,11 +153,11 @@ def test_structural_recursion_closes():
     # shape, for all half-sizes up to 64, and no even entry may have a
     # valuation above m, the bound that sizes the residues
     for m in range(1, 65):
-        n = 2 * m
-        stack = [build_condensed(m, n)]
+        stack = [build_condensed(m)]
         while stack:
             c = stack.pop()
-            assert all(_v2(v) <= m for (r, cl), v in c.entries.items() if r != cl)
+            assert all(valuation(v, 2) <= m
+                       for (r, cl), v in c.entries.items() if r != cl)
             if c.m == 0:
                 continue
             step = reduce_condensed(c)
@@ -185,7 +191,7 @@ def test_reduction_matches_exact_fractions():
     # equal an exact computation over Z_(2), for all half-sizes up to 40
     for m in range(1, 41):
         n = 2 * m
-        top = build_condensed(m, n)
+        top = build_condensed(m)
         even = {(i, k): Fraction(n - 2 * (i - 1)) for (i, k) in top.row_weights}
         stack = [(top, even, dict(top.row_weights))]
         while stack:
@@ -201,7 +207,7 @@ def test_reduction_matches_exact_fractions():
                 for (i, k), x in exact.items():
                     v = residual.entries[((i, k), (i - 1, k))]
                     assert x.denominator % 2 == 1
-                    assert _v2(v) == (valuation(x.numerator, 2)
+                    assert valuation(v, 2) == (valuation(x.numerator, 2)
                                       - valuation(x.denominator, 2)), m
                     assert residual.entries[((i, k), (i, k))] == i + 1 - k
                 stack.append((residual, exact, exact_weights))
