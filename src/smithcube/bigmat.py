@@ -438,6 +438,63 @@ def p_elementary_divisors(m: IntMatrix, p: int) -> ElemDivTable:
     return ElemDivTable(p, mult, inv.zero_count)
 
 
+def two_adic_counts(m: IntMatrix, e: int) -> tuple:
+    """Multiplicities (c_0, ..., c_{e-1}) of 2^i, i < e, among the
+    elementary divisors of m, by elimination over Z/2^e.
+
+    This is exact: if the elementary divisors of m over Z have 2-adic
+    valuations v_i, those of m over Z/2^e are 2^min(v_i, e), where 2^e = 0
+    also stands for every zero divisor, and invertible row and column
+    operations over Z/2^e keep them.  So no reduction mod 2^e loses a count
+    below e.
+
+    Each row is packed into one int, entry j in the 2e+1 bits from j(2e+1)
+    on, as its residue mod 2^e.  At a level with k bits left, a row with an
+    odd slot u is scaled by u^-1 mod 2^k, so that slot reads 1, and clears
+    its column in every other row r with slot value q by
+    r + (2^k - q) * prow, masked back to k bits per slot.  Each slot of
+    that sum is below 2^(2k), so no carry leaves its slot and the mask
+    gives the exact residues.  The pivot's column is then clean, so column
+    operations would clear the rest of its row without touching another:
+    the row is dropped and counts one divisor 2^level.  A row with no odd
+    slot stays all even after such a step, so one pass clears every unit;
+    then every slot is even and every row shifts right by one bit, which
+    halves every slot, and the next level starts with k - 1 bits.
+    """
+    if e < 1:
+        raise ValueError(f"e must be >= 1, got {e}")
+    width = 2 * e + 1
+    top = 1 << e
+    rows = [r for r in (sum(v % top << j * width for j, v in row)
+                        for row in m._data) if r]
+    # bit 0 of every slot
+    odd = sum(1 << s for s in range(0, m.cols * width, width))
+    counts = []
+    for k in range(e, 0, -1):
+        modulus = 1 << k
+        low = modulus - 1
+        mask = odd * low
+        found = 0
+        kept = []
+        while rows:
+            prow = rows.pop()
+            units = prow & odd
+            if not units:
+                kept.append(prow)
+                continue
+            s = (units & -units).bit_length() - 1
+            prow = prow * pow(prow >> s & low, -1, modulus) & mask
+            for rest in (kept, rows):
+                for j, r in enumerate(rest):
+                    q = r >> s & low
+                    if q:
+                        rest[j] = r + (modulus - q) * prow & mask
+            found += 1
+        counts.append(found)
+        rows = [r >> 1 for r in kept if r]
+    return tuple(counts)
+
+
 # -- sparse-triple text format --------------------------------------------
 
 

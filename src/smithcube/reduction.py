@@ -11,10 +11,10 @@ size copies of the same shadow, scaled by 2.  Recursing yields the complete
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 from .bigmat import (ElemDivTable, IntMatrix, block_diag, p_elementary_divisors,
-                     snf, valuation)
+                     snf, two_adic_counts, valuation)
 from .canonical import _check_half, build_E, wilson_form
 from .cube import _check_n, adjacency, graded_blocks, laplacian
 from .subsets import count_full_rank
@@ -257,13 +257,25 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
         CondensedMatrix((m - 1) // 2, c.precision - 1, odd_entries, odd_weights))
 
 
+# the condensed shadow of n = 2m holds m(m+1)/2 row dicts at once: 2^18 rows
+# allows m <= 723, that is n <= 1446, which peaks near 480 MB (n = 2046, at
+# 2^19 rows, peaks near 1 GB)
+CONDENSED_ROW_LIMIT = 1 << 18
+
+
 def two_local_divisors_of_M(n: int) -> ElemDivTable:
     """2-elementary divisors of M by full recursive condensed reduction.
 
     An odd pivot of weight w found after d halvings contributes w to the
-    multiplicity of 2^d.
+    multiplicity of 2^d.  A shadow of more than CONDENSED_ROW_LIMIT rows is
+    refused before anything is built.
     """
     m = _require_even(n)
+    rows = m * (m + 1) // 2
+    if rows > CONDENSED_ROW_LIMIT:
+        top = (isqrt(8 * CONDENSED_ROW_LIMIT + 1) - 1) // 2
+        raise ValueError(f"n={n} needs {rows} condensed rows, above the cap "
+                         f"{CONDENSED_ROW_LIMIT} (n <= {2 * top})")
     mult: dict = {}
     stack = [(build_condensed(m), 0)]
     while stack:
@@ -469,12 +481,11 @@ class LaplacianReport:
 
 def laplacian_partial_check(n: int) -> LaplacianReport:
     """For n = 2^s the adjacency and Laplacian matrices agree mod 2^s, so the
-    multiplicities of 2^i agree for i < s.  Verified with the oracle."""
+    multiplicities of 2^i agree for i < s.  Both sides are counted exactly
+    over Z/2^s by `two_adic_counts`."""
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     s = n.bit_length() - 1
-    table_a = p_elementary_divisors(adjacency(n), 2)
-    table_l = p_elementary_divisors(laplacian(n), 2)
-    comparisons = tuple((i, table_a.mult.get(i, 0), table_l.mult.get(i, 0))
-                        for i in range(s))
-    return LaplacianReport(n, s, comparisons)
+    counts_a = two_adic_counts(adjacency(n), s)
+    counts_l = two_adic_counts(laplacian(n), s)
+    return LaplacianReport(n, s, tuple(zip(range(s), counts_a, counts_l)))

@@ -4,7 +4,9 @@ import pytest
 
 from smithcube.bigmat import (ElemDivTable, IntMatrix, InvariantFactors,
                               assemble, block_diag, from_text,
-                              p_elementary_divisors, snf, to_text, valuation)
+                              p_elementary_divisors, snf, to_text,
+                              two_adic_counts, valuation)
+from smithcube.cube import adjacency, laplacian
 
 
 def test_snf_coprime_diagonal():
@@ -66,6 +68,39 @@ def test_p_elementary_divisors_rejects_composites():
     for p in (1, 0, -3, 4, 9, 15):
         with pytest.raises(ValueError):
             p_elementary_divisors(IntMatrix.identity(2), p)
+
+
+# (c_0, ..., c_11) of A(n) and of L(n) = nI - A(n), trailing zeros left
+# out, recorded from the 2-adic tallies of their `snf` invariant factors
+TWO_ADIC_GOLDEN = {
+    1: ((2,), (1,)),
+    2: ((2,), (2, 0, 1)),
+    3: ((8,), (4, 1, 0, 2)),
+    4: ((8, 2), (8, 2, 0, 4, 0, 1)),
+    5: ((32,), (16, 6, 0, 4, 1, 0, 4)),
+    6: ((32, 12), (32, 12, 4, 1, 0, 4, 10)),
+    7: ((128,), (64, 28, 1, 0, 8, 6, 14, 6)),
+    8: ((128, 56, 2), (128, 56, 2, 0, 16, 12, 28, 12, 0, 0, 1)),
+}
+
+
+def test_two_adic_counts_golden_cube_matrices():
+    for n, golden in TWO_ADIC_GOLDEN.items():
+        for matrix, counts in zip((adjacency(n), laplacian(n)), golden):
+            for e in (1, 3, 12):
+                padded = counts + (0,) * 12
+                assert two_adic_counts(matrix, e) == padded[:e], (n, e)
+
+
+def test_two_adic_counts_edges():
+    # 8 = 2^3 is zero mod 2^3, so no divisor lies below 2^3
+    assert two_adic_counts(IntMatrix.diagonal([8, 8]), 3) == (0, 0, 0)
+    assert two_adic_counts(IntMatrix.diagonal([8, 8]), 4) == (0, 0, 0, 2)
+    assert two_adic_counts(IntMatrix.zeros(0, 3), 2) == (0, 0)
+    assert two_adic_counts(IntMatrix.zeros(3, 0), 2) == (0, 0)
+    for e in (0, -1):
+        with pytest.raises(ValueError):
+            two_adic_counts(IntMatrix.identity(2), e)
 
 
 def test_determinant_values():

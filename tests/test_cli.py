@@ -241,6 +241,22 @@ def test_oversized_subset_matrix_refused_before_allocation(capsys):
         assert err == expected, argv
 
 
+def test_oversized_reduction_refused_before_the_shadow(capsys, monkeypatch):
+    # m(m+1)/2 condensed rows for n = 2m once ended in a MemoryError
+    # traceback under a 1 GiB limit; the refusal comes before the shadow
+    def no_build(m):
+        raise AssertionError(f"a shadow of m={m} was started")
+    monkeypatch.setattr(reduction, "build_condensed", no_build)
+    for n, rows, argv in (
+            (4000, 2001000, ("smith-group", "4000", "--method", "reduction")),
+            (1448, 262450, ("smith-group", "1448", "--method", "all")),
+            (4000, 2001000, ("verify", "conjecture", "4000"))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == (f"error: n={n} needs {rows} condensed rows, above the "
+                       "cap 262144 (n <= 1446)\n"), argv
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "no-such-dir" / "x")
     for argv in (("smith-group", "4"), ("verify", "half", "4"),

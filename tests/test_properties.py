@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smithcube.bigmat import (IntMatrix, _divisibility_chain, from_text, snf,
-                              to_text, valuation)
+                              to_text, two_adic_counts, valuation)
 from smithcube.reduction import (_binomial_row, _positional_merge,
                                  invariant_factor_rle)
 
@@ -143,6 +143,23 @@ def test_snf_invariant_under_unimodular_operations(m, steps):
             lines[i] = [-x for x in lines[i]]
         grid = [list(row) for row in zip(*lines)] if on_cols else lines
     assert snf(IntMatrix(grid, m.cols)) == snf(m)
+
+
+# zero, small, and u * 2^k up to far above 2^64, so that the 2-adic
+# valuations of the divisors spread over every level of the kernel
+two_adic_entries = st.one_of(st.just(0), st.integers(-8, 8),
+                             st.builds(lambda u, k: u << k,
+                                       st.integers(-5, 5), st.integers(0, 70)))
+
+
+@given(int_matrices(6, two_adic_entries), st.integers(1, 8))
+def test_two_adic_counts_match_snf_tally(m, e):
+    expected = [0] * e
+    for d in snf(m).factors:
+        v = valuation(d, 2)
+        if v < e:
+            expected[v] += 1
+    assert two_adic_counts(m, e) == tuple(expected)
 
 
 # often zero, so that zero rows, zero columns and sparse rows occur

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from smithcube import reduction
+from smithcube import cli, reduction
 from smithcube.bigmat import (ElemDivTable, IntMatrix, p_elementary_divisors,
                               snf, valuation)
 from smithcube.canonical import wilson_form
@@ -288,6 +288,21 @@ def test_laplacian_partial():
         assert len(rep.comparisons) == rep.s
     with pytest.raises(ValueError):
         laplacian_partial_check(6)
+
+
+def test_laplacian_check_sees_one_changed_entry(monkeypatch, capsys):
+    # 1 more at (0, 0) of nI - A moves c_0 of L(8) from 128 to 129
+    original = reduction.laplacian
+
+    def bumped(n):
+        side = 1 << n
+        return original(n) + IntMatrix.from_rows([{0: 1}] + [{}] * (side - 1), side)
+    monkeypatch.setattr(reduction, "laplacian", bumped)
+    rep = laplacian_partial_check(8)
+    assert not rep.ok
+    assert rep.comparisons[0] == (0, 128, 129)
+    assert cli.main(["verify", "laplacian", "8"]) == 2
+    assert '"status":"mismatch"' in capsys.readouterr().out
 
 
 def test_invariant_factor_rle_units():
