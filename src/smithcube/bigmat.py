@@ -351,26 +351,33 @@ def _eliminate(m: IntMatrix) -> list:
                 cols.setdefault(j, set()).add(i)
     diag = []
     while rows:
-        pr = min(rows, key=lambda r: len(rows[r]))
+        # rows are never re-inserted, so dict order is index order and this
+        # is the first shortest row
+        pr = min(zip(map(len, rows.values()), rows))[1]
         row = rows[pr]
         pc = min(row, key=lambda c: (abs(row[c]), len(cols[c])))
         while True:
             prow = rows[pr]
             p = prow[pc]
+            cells = [(c, x, cols[c]) for c, x in prow.items()]
             for r in [r for r in cols[pc] if r != pr]:
                 row = rows[r]
                 q, rem = divmod(row[pc], p)
                 if 2 * abs(rem) > abs(p):
                     q += 1
                 if q:
-                    for c, x in prow.items():
-                        y = row.get(c, 0) - q * x
-                        if y:
-                            row[c] = y
-                            cols[c].add(r)
+                    for c, x, col in cells:
+                        y = row.get(c)
+                        if y is None:  # fill: -q * x is nonzero
+                            row[c] = -q * x
+                            col.add(r)
                         else:
-                            del row[c]
-                            cols[c].discard(r)
+                            y -= q * x
+                            if y:
+                                row[c] = y
+                            else:
+                                del row[c]
+                                col.discard(r)
                     if not row:
                         del rows[r]
             left = [r for r in cols[pc] if r != pr]
@@ -400,21 +407,6 @@ def snf(m: IntMatrix) -> InvariantFactors:
     return InvariantFactors(tuple(factors), min(m.rows, m.cols) - len(factors))
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def valuation(x: int, p: int) -> int:
     """Exponent of p in x; x must be nonzero."""
     if x == 0:
@@ -424,18 +416,6 @@ def valuation(x: int, p: int) -> int:
         x //= p
         e += 1
     return e
-
-
-def p_elementary_divisors(m: IntMatrix, p: int) -> ElemDivTable:
-    """Table e -> multiplicity of p^e among the elementary divisors of m."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    inv = snf(m)
-    mult: dict = {}
-    for d in inv.factors:
-        e = valuation(d, p)
-        mult[e] = mult.get(e, 0) + 1
-    return ElemDivTable(p, mult, inv.zero_count)
 
 
 def two_adic_counts(m: IntMatrix, e: int) -> tuple:

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .bigmat import (ElemDivTable, IntMatrix, block_diag, p_elementary_divisors,
-                     snf, two_adic_counts, valuation)
+from .bigmat import (ElemDivTable, IntMatrix, block_diag, snf, two_adic_counts,
+                     valuation)
 from .canonical import _check_half, build_E, wilson_form
-from .cube import _check_n, adjacency, graded_blocks, laplacian
+from .cube import _check_n, adjacency, graded_blocks, laplacian, vertex_order
 from .subsets import count_full_rank
 
 
@@ -407,12 +407,26 @@ def smith_group(n: int) -> SmithGroupSummary:
 
 
 def smith_group_oracle(n: int) -> SmithGroupSummary:
-    """Smith group by generic elimination on the full adjacency matrix."""
-    inv = snf(adjacency(n))
+    """Smith group by generic elimination on the bipartite block B of A.
+
+    Every edge joins a vertex of even weight to one of odd weight, so with
+    the even vertices first A = [[0, B], [B^t, 0]], coker A is coker B plus
+    coker B^t, and SNF(B^t) = SNF(B): each invariant factor of B counts
+    twice.  Both facts are checked on A itself before B is taken.
+    """
+    a = adjacency(n)
+    odd = [s.bit_count() & 1 for s in vertex_order(n)]
+    if a != a.transpose():
+        raise ValueError(f"adjacency matrix of Q_{n} is not symmetric")
+    if any(odd[i] == odd[j] for i in range(a.rows) for j, _ in a.pairs(i)):
+        raise ValueError(f"adjacency matrix of Q_{n} joins two vertices "
+                         "of the same weight parity")
+    inv = snf(a.submatrix([i for i, o in enumerate(odd) if not o],
+                          [i for i, o in enumerate(odd) if o]))
     nonzero: dict = {}
     for d in inv.factors:
-        nonzero[d] = nonzero.get(d, 0) + 1
-    return SmithGroupSummary(n, inv.zero_count, nonzero)
+        nonzero[d] = nonzero.get(d, 0) + 2
+    return SmithGroupSummary(n, a.rows - 2 * len(inv.factors), nonzero)
 
 
 def smith_group_reduction(n: int) -> SmithGroupSummary:
@@ -449,9 +463,12 @@ def verify_conjecture(n: int, oracle_cap: int) -> bool:
     """
     _require_even(n)
     if n <= oracle_cap:
-        table = p_elementary_divisors(adjacency(n), 2)
-        divisor_side = table.mult
-        free = table.free_rank
+        summary = smith_group_oracle(n)
+        divisor_side = {}
+        for d, c in summary.nonzero.items():
+            e = valuation(d, 2)
+            divisor_side[e] = divisor_side.get(e, 0) + c
+        free = summary.free_rank
     else:
         half = two_local_divisors_of_M(n).mult
         divisor_side = {e: 2 * c for e, c in half.items()}

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from smithcube.bigmat import (ElemDivTable, IntMatrix, InvariantFactors,
-                              assemble, block_diag, from_text,
-                              p_elementary_divisors, snf, to_text,
+                              assemble, block_diag, from_text, snf, to_text,
                               two_adic_counts, valuation)
 from smithcube.cube import adjacency, laplacian
 
@@ -52,22 +51,6 @@ def test_invariant_factors_validation():
         InvariantFactors((2, 3), 0)
     with pytest.raises(ValueError):
         InvariantFactors((0, 2), 0)
-
-
-def test_p_elementary_divisors_diag():
-    t = p_elementary_divisors(IntMatrix.diagonal([4, 6, 0]), 2)
-    assert t == ElemDivTable(2, {1: 1, 2: 1}, 1)
-
-
-def test_p_elementary_divisors_identity():
-    t = p_elementary_divisors(IntMatrix.identity(3), 7)
-    assert t == ElemDivTable(7, {0: 3}, 0)
-
-
-def test_p_elementary_divisors_rejects_composites():
-    for p in (1, 0, -3, 4, 9, 15):
-        with pytest.raises(ValueError):
-            p_elementary_divisors(IntMatrix.identity(2), p)
 
 
 # (c_0, ..., c_11) of A(n) and of L(n) = nI - A(n), trailing zeros left
@@ -230,17 +213,43 @@ def test_snf_transpose_invariance():
         assert a.factors == b.factors
 
 
+def _p_table(m, p):
+    """The ElemDivTable of m at p, tallied from the invariant factors of
+    `snf`."""
+    inv = snf(m)
+    mult: dict = {}
+    for d in inv.factors:
+        e = valuation(d, p)
+        mult[e] = mult.get(e, 0) + 1
+    return ElemDivTable(p, mult, inv.zero_count)
+
+
 def test_elem_div_table_reconstructs_p_parts():
+    # along a divisibility chain the p-adic valuations never fall, so the
+    # tables of the primes dividing the factors, exponents in increasing
+    # order, give back every factor position by position
     rng = random.Random(99)
     for _ in range(15):
         m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -9, 9)
         inv = snf(m)
-        for p in (2, 3, 5):
-            t = p_elementary_divisors(m, p)
+        # every factor divides the last one, so its primes are all of them
+        primes, x, p = [], inv.factors[-1] if inv.factors else 1, 2
+        while x > 1:
+            if p * p > x:
+                p = x
+            if x % p == 0:
+                primes.append(p)
+                while x % p == 0:
+                    x //= p
+            p += 1
+        rebuilt = [1] * len(inv.factors)
+        for p in primes:
+            t = _p_table(m, p)
             assert t.free_rank == inv.zero_count
             assert sum(t.mult.values()) == len(inv.factors)
-            for e, c in t.mult.items():
-                assert sum(1 for d in inv.factors if valuation(d, p) == e) == c
+            exps = [e for e in sorted(t.mult) for _ in range(t.mult[e])]
+            rebuilt = [r * p ** e for r, e in zip(rebuilt, exps)]
+        assert tuple(rebuilt) == inv.factors
 
 
 def test_diagonal_conversion_preserves_valuations():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smithcube.bigmat import (IntMatrix, _divisibility_chain, from_text, snf,
-                              to_text, two_adic_counts, valuation)
+from smithcube.bigmat import (IntMatrix, _divisibility_chain, assemble,
+                              from_text, snf, to_text, two_adic_counts,
+                              valuation)
 from smithcube.reduction import (_binomial_row, _positional_merge,
                                  invariant_factor_rle)
 
@@ -160,6 +161,20 @@ def test_two_adic_counts_match_snf_tally(m, e):
         if v < e:
             expected[v] += 1
     assert two_adic_counts(m, e) == tuple(expected)
+
+
+@given(int_matrices(6, st.one_of(st.just(0), st.integers(-8, 8),
+                                 st.integers(-2 ** 80, 2 ** 80))))
+def test_snf_of_bipartite_matrix_doubles_snf_of_its_block(b):
+    # [[0, B], [B^t, 0]] is B plus B^t up to a permutation, and B^t has the
+    # invariant factors of B: the halving `smith_group_oracle` rests on
+    r, c = b.rows, b.cols
+    full = assemble([r, c], [r, c], lambda i, j: None if i == j
+                    else b if i < j else b.transpose())
+    half = snf(b)
+    inv = snf(full)
+    assert inv.factors == tuple(d for d in half.factors for _ in (0, 1))
+    assert inv.zero_count == r + c - 2 * len(half.factors)
 
 
 # often zero, so that zero rows, zero columns and sparse rows occur

@@ -4,8 +4,7 @@ from math import comb
 import pytest
 
 from smithcube import cli, reduction
-from smithcube.bigmat import (ElemDivTable, IntMatrix, p_elementary_divisors,
-                              snf, valuation)
+from smithcube.bigmat import ElemDivTable, IntMatrix, snf, valuation
 from smithcube.canonical import wilson_form
 from smithcube.cube import adjacency, blocks
 from smithcube.reduction import (CondensedMatrix, build_B, build_condensed,
@@ -22,6 +21,16 @@ B4 = IntMatrix([[4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
                 [0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0],
                 [0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0],
                 [0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0]])
+
+
+def _two_adic_tally(m):
+    """e -> multiplicity of 2^e among the elementary divisors of m, from
+    the invariant factors of `snf`."""
+    out: dict = {}
+    for d in snf(m).factors:
+        e = valuation(d, 2)
+        out[e] = out.get(e, 0) + 1
+    return out
 
 
 def test_build_B_matches_display_n4():
@@ -215,9 +224,7 @@ def test_reduction_matches_exact_fractions():
 
 def test_two_local_matches_oracle():
     for n in (2, 4, 6, 8):
-        table = two_local_divisors_of_M(n)
-        oracle = p_elementary_divisors(blocks(n).M, 2)
-        assert table.mult == {e: c for e, c in oracle.mult.items() if c}, n
+        assert two_local_divisors_of_M(n).mult == _two_adic_tally(blocks(n).M), n
 
 
 def test_smith_group_fixtures():
@@ -241,6 +248,47 @@ def test_smith_group_total_conservation():
 def test_oracle_matches_closed_form():
     for n in range(1, 10):
         assert same_group(smith_group_oracle(n), smith_group(n)), n
+
+
+def test_oracle_matches_full_matrix_snf():
+    # the oracle eliminates only the bipartite block B; the summary of the
+    # full matrix's snf must be the same
+    for n in range(1, 9):
+        inv = snf(adjacency(n))
+        nonzero: dict = {}
+        for d in inv.factors:
+            nonzero[d] = nonzero.get(d, 0) + 1
+        assert smith_group_oracle(n) == reduction.SmithGroupSummary(
+            n, inv.zero_count, nonzero), n
+
+
+def _with_extra_entries(extra):
+    """adjacency(n) with the {(row, col): value} entries of extra(n) added."""
+    def build(n):
+        a = adjacency(n)
+        rows = [dict(a.pairs(i)) for i in range(a.rows)]
+        for (i, j), v in extra(n).items():
+            rows[i][j] = rows[i].get(j, 0) + v
+        return IntMatrix.from_rows(rows, a.cols)
+    return build
+
+
+def test_oracle_refuses_a_matrix_that_is_not_bipartite(monkeypatch, capsys):
+    # the empty set (row 0) and the first 2-subset (row n + 1) are both even
+    same_parity = _with_extra_entries(lambda n: {(0, n + 1): 1, (n + 1, 0): 1})
+    monkeypatch.setattr(reduction, "adjacency", same_parity)
+    with pytest.raises(ValueError, match="same weight parity"):
+        smith_group_oracle(4)
+    assert cli.main(["smith-group", "4", "--method", "oracle"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # one entry from the empty set to {1, 2, 3} (odd): bipartite, but the
+    # matrix is no longer symmetric
+    asymmetric = _with_extra_entries(lambda n: {(0, 1 + n + comb(n, 2)): 1})
+    monkeypatch.setattr(reduction, "adjacency", asymmetric)
+    with pytest.raises(ValueError, match="not symmetric"):
+        smith_group_oracle(4)
 
 
 def test_reduction_matches_closed_form():
@@ -335,6 +383,4 @@ def test_conjecture_n10_oracle():
 
 
 def test_two_local_matches_oracle_n10():
-    table = two_local_divisors_of_M(10)
-    oracle = p_elementary_divisors(blocks(10).M, 2)
-    assert table.mult == {e: c for e, c in oracle.mult.items() if c}
+    assert two_local_divisors_of_M(10).mult == _two_adic_tally(blocks(10).M)
