@@ -6,6 +6,7 @@ from smithcube.bigmat import (ElemDivTable, IntMatrix, InvariantFactors,
                               assemble, block_diag, from_text, snf, to_text,
                               two_adic_counts, valuation)
 from smithcube.cube import adjacency, laplacian
+from smithcube.reduction import _factor_small
 
 
 def test_snf_coprime_diagonal():
@@ -233,15 +234,7 @@ def test_elem_div_table_reconstructs_p_parts():
         m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -9, 9)
         inv = snf(m)
         # every factor divides the last one, so its primes are all of them
-        primes, x, p = [], inv.factors[-1] if inv.factors else 1, 2
-        while x > 1:
-            if p * p > x:
-                p = x
-            if x % p == 0:
-                primes.append(p)
-                while x % p == 0:
-                    x //= p
-            p += 1
+        primes = _factor_small(inv.factors[-1]) if inv.factors else {}
         rebuilt = [1] * len(inv.factors)
         for p in primes:
             t = _p_table(m, p)
