@@ -274,12 +274,6 @@ def assemble(row_sizes: Sequence[int], col_sizes: Sequence[int],
     return IntMatrix.from_rows(data, col_off[-1])
 
 
-def block_diag(*blocks: IntMatrix) -> IntMatrix:
-    """Block-diagonal sum of the given matrices."""
-    return assemble([b.rows for b in blocks], [b.cols for b in blocks],
-                    lambda i, j: blocks[i] if i == j else None)
-
-
 # -- invariant factors and elementary divisors ----------------------------
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import comb
 
-from .bigmat import IntMatrix, assemble, snf
+from .bigmat import IntMatrix, assemble
 from .subsets import SIZE_CAP, incidence_matrix
 
 
@@ -59,9 +59,10 @@ def monomial_adjacency(n: int) -> IntMatrix:
 
 
 def laplacian(n: int) -> IntMatrix:
-    """n*I - A; exposed for the degree-matrix congruence report only."""
+    """n*I - A from A's rows; for the degree-matrix congruence report only."""
     a = adjacency(n)
-    return IntMatrix.identity(a.rows).scale(n) - a
+    return IntMatrix.from_rows(({i: n, **{j: -v for j, v in a.pairs(i)}}
+                                for i in range(a.rows)), a.rows)
 
 
 def _subset_sums(n: int, rows) -> list:
@@ -132,40 +133,23 @@ def blocks(n: int) -> BlockPair:
     return BlockPair(n, m_block, n_block)
 
 
-def _reverse_blocks_transpose(pair: BlockPair) -> IntMatrix:
-    """Reverse the block rows and block columns of N, then transpose."""
-    def perm(sizes):
-        ends = list(accumulate(sizes))
-        return [x for s, e in zip(reversed(sizes), reversed(ends))
-                for x in range(e - s, e)]
-
+def _replay(pair: BlockPair) -> bool:
+    """Turn N around and compare it with M: N's block row of size i, offset
+    p, is M's block column n-i, offset p, its block column of size k, offset
+    q, M's block row n-k, offset q, and each entry picks up -(-1)^(i+k)."""
     n, m = pair.n, pair.n // 2
-    rp = perm([comb(n, i) for i in range(m, n + 1)])
-    cp = perm([comb(n, i) for i in range(m + 1, n + 1)])
-    return pair.N.submatrix(rp, cp).transpose()
-
-
-def _alternating_sign_fix(mat: IntMatrix, n: int) -> IntMatrix:
-    """Flip block-column 0, block-row 1, block-column 2, ... which negates
-    every diagonal block exactly once and every superdiagonal block zero or
-    two times: the block rows of odd size and the block columns of even
-    size change sign."""
-    m = n // 2
-    row_signs = [(-1) ** i for i in range(m) for _ in range(comb(n, i))]
-    col_signs = [-(-1) ** j for j in range(m + 1) for _ in range(comb(n, j))]
-    return IntMatrix.diagonal(row_signs) @ mat @ IntMatrix.diagonal(col_signs)
+    ends = list(accumulate((comb(n, s) for s in range(m + 1)), initial=0))
+    cols, rows = ([(ends[n - s] + p, (-1) ** s) for s in range(lo, n + 1)
+                   for p in range(comb(n, s))] for lo in (m, m + 1))
+    out: list = [{} for _ in rows]
+    for i, (c, sc) in enumerate(cols):
+        for j, v in pair.N.pairs(i):
+            r, sr = rows[j]
+            out[r][c] = -sr * sc * v
+    return IntMatrix.from_rows(out, len(cols)) == pair.M
 
 
 def verify_half_lemma(n: int) -> bool:
-    """Both halves of the block split carry the same Smith data.
-
-    Checks snf(M) = snf(N^t) with the elimination oracle, and replays the
-    explicit alternating sign-flip sequence turning the reversed transpose
-    of N into M exactly.
-    """
-    pair = blocks(n)
-    if snf(pair.M) != snf(pair.N.transpose()):
-        return False
-    fixed = _alternating_sign_fix(_reverse_blocks_transpose(pair), n)
-    return fixed == pair.M
-
+    """M = D1 (P N Q)^t D2 with +-1 diagonals D1, D2 and permutations P, Q,
+    all unimodular, hence M and N^t have the same Smith normal form."""
+    return _replay(blocks(n))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .bigmat import (ElemDivTable, IntMatrix, block_diag, snf, two_adic_counts,
+from .bigmat import (ElemDivTable, IntMatrix, assemble, snf, two_adic_counts,
                      valuation)
 from .canonical import _check_half, build_E, wilson_form
 from .cube import _check_n, adjacency, graded_blocks, laplacian, vertex_order
@@ -40,7 +40,9 @@ def _binomial_row(n: int, k: int) -> list:
 def stacked_basis(n: int, k: int) -> IntMatrix:
     """Block-diagonal sum of the canonical basis matrices for sizes 0..k."""
     _check_half(n, k)
-    return block_diag(*(build_E(n, j) for j in range(k + 1)))
+    Es = [build_E(n, j) for j in range(k + 1)]
+    return assemble([E.rows for E in Es], [E.cols for E in Es],
+                    lambda i, j: Es[i] if i == j else None)
 
 
 def build_B(n: int) -> IntMatrix:

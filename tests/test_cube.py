@@ -6,8 +6,9 @@ import pytest
 
 from smithcube import cli, cube
 from smithcube.bigmat import IntMatrix, snf
-from smithcube.cube import (adjacency, blocks, laplacian, monomial_adjacency,
-                            verify_conjugacy, verify_half_lemma, vertex_order)
+from smithcube.cube import (BlockPair, adjacency, blocks, laplacian,
+                            monomial_adjacency, verify_conjugacy,
+                            verify_half_lemma, vertex_order)
 from smithcube.subsets import incidence_matrix
 
 # displayed lower half block of the 4-cube's monomial-basis matrix
@@ -130,6 +131,25 @@ def test_blocks_require_even():
 def test_half_lemma():
     for n in (2, 4, 6):
         assert verify_half_lemma(n), n
+
+
+def test_half_blocks_share_smith_form():
+    # the fact the replay implies, checked by elimination
+    for n in (2, 4, 6, 8, 10):
+        pair = blocks(n)
+        assert snf(pair.M) == snf(pair.N.transpose()), n
+
+
+def test_half_lemma_replay_rejects_every_sign_flip():
+    # a sign flip keeps the Smith form, so only the exact replay can see it
+    pair = blocks(4)
+    assert cube._replay(pair)
+    flips = [(i, j) for i in range(pair.N.rows) for j, _ in pair.N.pairs(i)]
+    assert len(flips) == 21
+    for i, j in flips:
+        flipped = _with_entry(pair.N, i, j, -pair.N[i, j])
+        assert snf(flipped.transpose()) == snf(pair.M), (i, j)
+        assert not cube._replay(BlockPair(4, pair.M, flipped)), (i, j)
 
 
 def test_doubling_of_half_block():
