@@ -292,14 +292,6 @@ class InvariantFactors:
                 raise ValueError(f"divisibility chain broken: {a} does not divide {b}")
 
 
-@dataclass(frozen=True)
-class ElemDivTable:
-    """Multiplicities of p^e among the elementary divisors, for one prime p."""
-    prime: int
-    mult: dict  # exponent -> multiplicity; no zero multiplicity is stored
-    free_rank: int
-
-
 def _divisibility_chain(entries: Iterable[int]) -> list:
     """Invariant factors of a diagonal matrix with the given nonzero entries.
 

@@ -11,10 +11,9 @@ size copies of the same shadow, scaled by 2.  Recursing yields the complete
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import isqrt
 
-from .bigmat import (ElemDivTable, IntMatrix, assemble, snf, two_adic_counts,
-                     valuation)
+from .bigmat import IntMatrix, assemble, snf, two_adic_counts, valuation
 from .canonical import _check_half, build_E, wilson_form
 from .cube import _check_n, adjacency, graded_blocks, laplacian, vertex_order
 from .subsets import count_full_rank
@@ -265,8 +264,9 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
 CONDENSED_ROW_LIMIT = 1 << 18
 
 
-def two_local_divisors_of_M(n: int) -> ElemDivTable:
-    """2-elementary divisors of M by full recursive condensed reduction.
+def two_local_divisors_of_M(n: int) -> dict:
+    """2-elementary divisors of M by full recursive condensed reduction, as
+    {exponent: multiplicity}; no zero multiplicity is stored.
 
     An odd pivot of weight w found after d halvings contributes w to the
     multiplicity of 2^d.  A shadow of more than CONDENSED_ROW_LIMIT rows is
@@ -289,7 +289,7 @@ def two_local_divisors_of_M(n: int) -> ElemDivTable:
             mult[depth] = mult.get(depth, 0) + weight
         stack.append((step.even_residual, depth + 1))
         stack.append((step.odd_residual, depth + 1))
-    return ElemDivTable(2, mult, 0)
+    return mult
 
 
 # -- closed-form Smith group ----------------------------------------------
@@ -433,16 +433,20 @@ def smith_group_oracle(n: int) -> SmithGroupSummary:
 
 def smith_group_reduction(n: int) -> SmithGroupSummary:
     """Smith group assembled from the structural routes: the recursive
-    condensed reduction for the 2-part (doubled across the two half blocks)
-    and the eigenvalue diagonal for every odd prime; n even.
-
-    For odd n the eigenvalue diagonal is already the closed form, so there
-    is no structural route to assemble and odd n is rejected."""
-    m = _require_even(n)
-    free_rank = comb(n, m)
-    rank = (1 << n) - free_rank
-    tables = _valuation_tables({v: c for v, c in eigenvalue_diagonal(n).items() if v})
-    tables[2] = {e: 2 * c for e, c in two_local_divisors_of_M(n).mult.items()}
+    condensed reduction for the 2-part (doubled across the two half blocks),
+    whose size is the rank, and the eigenvalue diagonal for every odd prime.
+    A diagonal with another nonzero count is not merged: the 2-part is
+    returned alone.  Odd n has no structural route and is rejected."""
+    _require_even(n)
+    two_part = {e: 2 * c for e, c in two_local_divisors_of_M(n).items()}
+    rank = sum(two_part.values())
+    free_rank = (1 << n) - rank
+    eigen = {v: c for v, c in eigenvalue_diagonal(n).items() if v}
+    if sum(eigen.values()) != rank:
+        return SmithGroupSummary(n, free_rank,
+                                 {1 << e: c for e, c in two_part.items()})
+    tables = _valuation_tables(eigen)
+    tables[2] = two_part
     return SmithGroupSummary(n, free_rank, dict(_positional_merge(tables, rank)))
 
 
@@ -459,22 +463,16 @@ def verify_conjecture(n: int, oracle_cap: int) -> bool:
     """Multiplicity of 2^i among the 2-elementary divisors equals the count
     of eigenvalues exactly divisible by 2^(i+1); n even.
 
-    The divisor side comes from the elimination oracle up to oracle_cap and
-    from the recursive 2-local reduction of the half block M beyond it (M
-    and N share their Smith data, so every multiplicity counts twice).
+    The divisor side is the summary of the elimination oracle up to
+    oracle_cap and of the structural route beyond it.
     """
     _require_even(n)
-    if n <= oracle_cap:
-        summary = smith_group_oracle(n)
-        divisor_side = {}
-        for d, c in summary.nonzero.items():
-            e = valuation(d, 2)
-            divisor_side[e] = divisor_side.get(e, 0) + c
-        free = summary.free_rank
-    else:
-        half = two_local_divisors_of_M(n).mult
-        divisor_side = {e: 2 * c for e, c in half.items()}
-        free = (1 << n) - 2 * sum(half.values())
+    summary = (smith_group_oracle(n) if n <= oracle_cap
+               else smith_group_reduction(n))
+    divisor_side: dict = {}
+    for d, c in summary.nonzero.items():
+        e = valuation(d, 2)
+        divisor_side[e] = divisor_side.get(e, 0) + c
     eigen_side: dict = {}
     zero_eigen = 0
     for v, cnt in eigenvalue_diagonal(n).items():
@@ -483,7 +481,7 @@ def verify_conjecture(n: int, oracle_cap: int) -> bool:
         else:
             i = valuation(v, 2) - 1
             eigen_side[i] = eigen_side.get(i, 0) + cnt
-    return divisor_side == eigen_side and free == zero_eigen
+    return divisor_side == eigen_side and summary.free_rank == zero_eigen
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from smithcube import cli, reduction
-from smithcube.bigmat import ElemDivTable, IntMatrix, snf, valuation
+from smithcube.bigmat import IntMatrix, snf, valuation
 from smithcube.canonical import wilson_form
 from smithcube.cube import adjacency, blocks
 from smithcube.reduction import (CondensedMatrix, build_B, build_condensed,
@@ -224,7 +225,22 @@ def test_reduction_matches_exact_fractions():
 
 def test_two_local_matches_oracle():
     for n in (2, 4, 6, 8):
-        assert two_local_divisors_of_M(n).mult == _two_adic_tally(blocks(n).M), n
+        assert two_local_divisors_of_M(n) == _two_adic_tally(blocks(n).M), n
+
+
+def test_two_local_table_is_fixed_by_the_pivot_pattern():
+    # the shadow is a sum of chains k = 1..m of length L = m-k+1 and weight
+    # count_full_rank(n, k-1); position j of a chain finds its odd pivot
+    # after v2(j) halvings, so the table counts those positions, weighted
+    for n in range(2, 97, 2):
+        m = n // 2
+        expected: dict = {}
+        for k in range(1, m + 1):
+            w = count_full_rank(n, k - 1)
+            for j in range(1, m - k + 2):
+                d = (j & -j).bit_length() - 1
+                expected[d] = expected.get(d, 0) + w
+        assert two_local_divisors_of_M(n) == expected, n
 
 
 def test_smith_group_fixtures():
@@ -293,8 +309,28 @@ def test_oracle_refuses_a_matrix_that_is_not_bipartite(monkeypatch, capsys):
 
 def test_reduction_matches_closed_form():
     # even n only: for odd n there is no structural route to compare
+    # the reduction counts its own rank, so its free rank is a real check
     for n in range(2, 65, 2):
-        assert same_group(smith_group_reduction(n), smith_group(n)), n
+        g = smith_group_reduction(n)
+        assert g.free_rank == comb(n, n // 2), n
+        assert same_group(g, smith_group(n)), n
+
+
+def test_reduction_table_one_unit_short_is_a_mismatch(monkeypatch, capsys):
+    # one divisor 2^0 fewer, so the table's rank is one short
+    original = reduction.two_local_divisors_of_M
+
+    def short(n):
+        table = original(n)
+        table[0] -= 1
+        return table
+    monkeypatch.setattr(reduction, "two_local_divisors_of_M", short)
+    assert cli.main(["smith-group", "8", "--method", "all"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "mismatch"
+    assert report["payload"]["reduction"]["free_rank"] == comb(8, 4) + 2
+    assert cli.main(["verify", "conjecture", "12", "--cap", "8"]) == 2
+    assert '"status":"mismatch"' in capsys.readouterr().out
 
 
 def test_reduction_rejects_odd_n():
@@ -312,15 +348,14 @@ def test_conjecture():
 
 
 def test_conjecture_above_cap_checks_the_reduction(monkeypatch):
-    # above the oracle cap the divisor side is the reduction's table; a
+    # above the oracle cap the divisor side is the reduction's summary; a
     # table off by one divisor (same rank) must be caught
     n = 12
-    good = two_local_divisors_of_M(n).mult
+    good = two_local_divisors_of_M(n)
     bad = dict(good)
     bad[0] -= 1
     bad[1] += 1
-    monkeypatch.setattr(reduction, "two_local_divisors_of_M",
-                        lambda _n: ElemDivTable(2, bad, 0))
+    monkeypatch.setattr(reduction, "two_local_divisors_of_M", lambda _n: bad)
     assert not verify_conjecture(n, oracle_cap=8)
 
 
@@ -383,4 +418,4 @@ def test_conjecture_n10_oracle():
 
 
 def test_two_local_matches_oracle_n10():
-    assert two_local_divisors_of_M(10).mult == _two_adic_tally(blocks(10).M)
+    assert two_local_divisors_of_M(10) == _two_adic_tally(blocks(10).M)
