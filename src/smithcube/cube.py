@@ -24,6 +24,12 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n={n} exceeds the size cap {SIZE_CAP}")
 
 
+def _require_even(n: int) -> int:
+    if n < 2 or n % 2:
+        raise ValueError(f"even n >= 2 required, got {n}")
+    return n // 2
+
+
 @lru_cache(maxsize=None)
 def vertex_order(n: int) -> tuple:
     """All subset masks of {1..n}, sorted by (popcount, value)."""
@@ -123,9 +129,7 @@ def blocks(n: int) -> BlockPair:
     from size i to i+1 is W_{n-i,n-i-1}.
     """
     _check_n(n)
-    if n % 2:
-        raise ValueError(f"blocks require even n, got {n}")
-    m = n // 2
+    m = _require_even(n)
     m_block = graded_blocks(n, range(m), range(m + 1),
                             lambda i: incidence_matrix(n, i, i + 1))
     n_block = graded_blocks(n, range(m, n + 1), range(m + 1, n + 1),

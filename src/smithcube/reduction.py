@@ -15,14 +15,9 @@ from math import isqrt
 
 from .bigmat import IntMatrix, assemble, snf, two_adic_counts, valuation
 from .canonical import _check_half, build_E, wilson_form
-from .cube import _check_n, adjacency, graded_blocks, laplacian, vertex_order
+from .cube import (_check_n, _require_even, adjacency, graded_blocks,
+                   laplacian, vertex_order)
 from .subsets import count_full_rank
-
-
-def _require_even(n: int) -> int:
-    if n < 2 or n % 2:
-        raise ValueError(f"even n >= 2 required, got {n}")
-    return n // 2
 
 
 def _binomial_row(n: int, k: int) -> list:
@@ -142,14 +137,25 @@ class CondensedMatrix:
                 raise ValueError(f"missing even entry in row {(i, k)}")
 
 
+# the condensed shadow of n = 2m holds m(m+1)/2 row dicts at once: 2^18 rows
+# allows m <= 723, that is n <= 1446, which peaks near 480 MB (n = 2046, at
+# 2^19 rows, peaks near 1 GB)
+CONDENSED_ROW_LIMIT = 1 << 18
+
+
 def build_condensed(m: int) -> CondensedMatrix:
     """Condensed shadow of B for n = 2m, with the concrete even values
     n - 2(i-1) on the main diagonal and weights taken from the block sizes.
     The even entries are residues mod 2^(m + m.bit_length() + 2), enough
-    for the whole recursion (see `CondensedMatrix`)."""
+    for the whole recursion (see `CondensedMatrix`).  A shadow of more than
+    CONDENSED_ROW_LIMIT rows is refused before anything is built."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    n = 2 * m
+    n, rows = 2 * m, m * (m + 1) // 2
+    if rows > CONDENSED_ROW_LIMIT:
+        top = (isqrt(8 * CONDENSED_ROW_LIMIT + 1) - 1) // 2
+        raise ValueError(f"n={n} needs {rows} condensed rows, above the cap "
+                         f"{CONDENSED_ROW_LIMIT} (n <= {2 * top})")
     # row (i, k) stands for count_full_rank(n, k - 1) rows, whatever i is
     weight_of_k = {k: count_full_rank(n, k - 1) for k in range(1, m + 1)}
     entries = {}
@@ -258,28 +264,15 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
         CondensedMatrix((m - 1) // 2, c.precision - 1, odd_entries, odd_weights))
 
 
-# the condensed shadow of n = 2m holds m(m+1)/2 row dicts at once: 2^18 rows
-# allows m <= 723, that is n <= 1446, which peaks near 480 MB (n = 2046, at
-# 2^19 rows, peaks near 1 GB)
-CONDENSED_ROW_LIMIT = 1 << 18
-
-
 def two_local_divisors_of_M(n: int) -> dict:
     """2-elementary divisors of M by full recursive condensed reduction, as
     {exponent: multiplicity}; no zero multiplicity is stored.
 
     An odd pivot of weight w found after d halvings contributes w to the
-    multiplicity of 2^d.  A shadow of more than CONDENSED_ROW_LIMIT rows is
-    refused before anything is built.
+    multiplicity of 2^d.
     """
-    m = _require_even(n)
-    rows = m * (m + 1) // 2
-    if rows > CONDENSED_ROW_LIMIT:
-        top = (isqrt(8 * CONDENSED_ROW_LIMIT + 1) - 1) // 2
-        raise ValueError(f"n={n} needs {rows} condensed rows, above the cap "
-                         f"{CONDENSED_ROW_LIMIT} (n <= {2 * top})")
     mult: dict = {}
-    stack = [(build_condensed(m), 0)]
+    stack = [(build_condensed(_require_even(n)), 0)]
     while stack:
         c, depth = stack.pop()
         if c.m == 0:
@@ -383,29 +376,25 @@ class SmithGroupSummary:
 
 def eigenvalue_diagonal(n: int) -> dict:
     """Multiset of cube eigenvalues n - 2*l with multiplicity C(n, l)."""
-    out: dict = {}
-    for level, mult in enumerate(_binomial_row(n, n)):
-        out[n - 2 * level] = out.get(n - 2 * level, 0) + mult
-    return out
+    return {n - 2 * level: mult for level, mult in enumerate(_binomial_row(n, n))}
 
 
 def smith_group(n: int) -> SmithGroupSummary:
     """Closed-form Smith group of the n-cube.
 
     Even n = 2m: C(n, m) zeros and entries k = 1..m with multiplicity
-    2*C(n, m-k).  Odd n: the eigenvalue diagonal itself is a diagonal form.
+    2*C(n, m-k).  Odd n: the eigenvalue diagonal itself is a diagonal form,
+    and |n - 2l| = |n - 2(n-l)|, so entry n - 2l, l < n/2, has multiplicity
+    2*C(n, l).  Both read the row C(n, 0..n//2).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    m = n // 2
+    binom = _binomial_row(n, m)
     if n % 2 == 0:
-        m = n // 2
-        binom = _binomial_row(n, m)
         return SmithGroupSummary(n, binom[m],
                                  {k: 2 * binom[m - k] for k in range(1, m + 1)})
-    nonzero: dict = {}
-    for v, cnt in eigenvalue_diagonal(n).items():
-        nonzero[abs(v)] = nonzero.get(abs(v), 0) + cnt
-    return SmithGroupSummary(n, 0, nonzero)
+    return SmithGroupSummary(n, 0, {n - 2 * l: 2 * c for l, c in enumerate(binom)})
 
 
 def smith_group_oracle(n: int) -> SmithGroupSummary:

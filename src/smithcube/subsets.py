@@ -50,17 +50,9 @@ def enumerate_subsets(n: int, k: int) -> tuple:
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     _check_side(n, k)
-    if k == 0:
-        return (0,)
-    out = []
-    s, end = (1 << k) - 1, 1 << n
-    while s < end:
-        out.append(s)
-        # Gosper's step: the next larger mask with the same popcount
-        low = s & -s
-        ripple = s + low
-        s = (((ripple ^ s) >> 2) // low) | ripple
-    return tuple(out)
+    # k = 0 takes no element: the n one-bit masks would hold O(n^2) bits
+    bits = [1 << x for x in range(n)] if k else []
+    return tuple(sorted(map(sum, combinations(bits, k))))
 
 
 def has_full_rank(s: int) -> bool:

@@ -86,6 +86,14 @@ def test_smith_group_odd_n(capsys):
     assert sum(e["multiplicity"] for e in report["entries"]) == 8
 
 
+def test_half_blocks_refuse_odd_n(capsys):
+    for argv in (("matrix", "M", "3"), ("matrix", "N", "3"),
+                 ("verify", "half", "3")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: even n >= 2 required, got 3\n", argv
+
+
 def test_smith_group_odd_n_without_second_route(capsys):
     code, out, err = run(capsys, "smith-group", "9", "--method", "reduction")
     assert (code, out) == (1, "")
@@ -243,10 +251,11 @@ def test_oversized_subset_matrix_refused_before_allocation(capsys):
 
 def test_oversized_reduction_refused_before_the_shadow(capsys, monkeypatch):
     # m(m+1)/2 condensed rows for n = 2m once ended in a MemoryError
-    # traceback under a 1 GiB limit; the refusal comes before the shadow
-    def no_build(m):
-        raise AssertionError(f"a shadow of m={m} was started")
-    monkeypatch.setattr(reduction, "build_condensed", no_build)
+    # traceback under a 1 GiB limit; `build_condensed` refuses before it
+    # computes the first row weight
+    def no_build(n, t):
+        raise AssertionError(f"a shadow of n={n} was started")
+    monkeypatch.setattr(reduction, "count_full_rank", no_build)
     for n, rows, argv in (
             (4000, 2001000, ("smith-group", "4000", "--method", "reduction")),
             (1448, 262450, ("smith-group", "1448", "--method", "all")),

@@ -9,6 +9,7 @@ from smithcube.bigmat import IntMatrix, snf
 from smithcube.cube import (BlockPair, adjacency, blocks, laplacian,
                             monomial_adjacency, verify_conjugacy,
                             verify_half_lemma, vertex_order)
+from smithcube.reduction import build_B, smith_group_reduction
 from smithcube.subsets import incidence_matrix
 
 # displayed lower half block of the 4-cube's monomial-basis matrix
@@ -124,8 +125,12 @@ def test_blocks_match_display_n4():
 
 
 def test_blocks_require_even():
-    with pytest.raises(ValueError):
-        blocks(3)
+    # one guard, one message, for the half blocks, B and the reduction
+    for build in (blocks, build_B, smith_group_reduction):
+        for n in (1, 3, 9):
+            with pytest.raises(ValueError,
+                               match=f"^even n >= 2 required, got {n}$"):
+                build(n)
 
 
 def test_half_lemma():

@@ -107,6 +107,15 @@ def test_build_condensed_shapes():
     assert c1.row_weights[(1, 1)] == 1
 
 
+def test_build_condensed_refuses_above_the_row_cap():
+    # m = 723 (261726 rows) is the last m within the cap; CI builds it
+    for m, rows in ((724, 262450), (10**6, 500000500000)):
+        with pytest.raises(ValueError, match=(
+                f"^n={2 * m} needs {rows} condensed rows, above the cap "
+                r"262144 \(n <= 1446\)$")):
+            build_condensed(m)
+
+
 def test_build_condensed_rejects_negative_m():
     for m in (-1, -2):
         with pytest.raises(ValueError, match=f"m must be >= 0, got {m}$"):
@@ -253,6 +262,17 @@ def test_smith_group_fixtures():
     assert g3.nonzero == {1: 6, 3: 2}
     with pytest.raises(ValueError):
         smith_group(0)
+
+
+def test_odd_closed_form_is_the_merged_eigenvalue_diagonal():
+    # odd n: no zero eigenvalue, and l and n - l give the same |n - 2l|
+    for n in range(1, 202, 2):
+        merged: dict = {}
+        for v, c in eigenvalue_diagonal(n).items():
+            merged[abs(v)] = merged.get(abs(v), 0) + c
+        g = smith_group(n)
+        assert g.free_rank == 0, n
+        assert g.nonzero == merged, n
 
 
 def test_smith_group_total_conservation():

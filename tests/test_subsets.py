@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -23,6 +24,14 @@ def test_colex_order_n4_k2():
 
 def test_empty_subset_order():
     assert enumerate_subsets(7, 0) == (0,)
+    # a large n with k = 0 lists no one-bit masks: 20000 of them would
+    # take about 27 MB
+    tracemalloc.start()
+    try:
+        assert enumerate_subsets(20000, 0) == (0,)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_complement_order_n4_k3():
@@ -35,7 +44,7 @@ def test_complement_order_n4_k3():
 def test_enumeration_is_complete_and_ordered():
     # against an independent tuple reference: colex is the order of the
     # reversed tuples
-    for n in range(9):
+    for n in range(13):
         for k in range(n + 1):
             reference = sorted(combinations(range(1, n + 1), k),
                                key=lambda s: tuple(reversed(s)))
