@@ -8,11 +8,9 @@ share between threads.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 
 _PLAIN_INT = frozenset({int})
@@ -277,13 +275,48 @@ def assemble(row_sizes: Sequence[int], col_sizes: Sequence[int],
 # -- invariant factors and elementary divisors ----------------------------
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
-    """Invariant factor chain d_1 | d_2 | ... | d_r, all positive."""
-    factors: tuple
-    zero_count: int
+class _Record:
+    """Immutable record whose fields are its slots, given positionally;
+    `==` holds only within one class, and `validate` runs on construction."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+        self.validate()
+
+    def validate(self) -> None:
+        """Refuse invalid fields; the default accepts any."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class InvariantFactors(_Record):
+    """Invariant factor chain d_1 | d_2 | ... | d_r, all positive."""
+    __slots__ = ("factors", "zero_count")
+
+    def validate(self) -> None:
         f = self.factors
         if any(d < 1 for d in f):
             raise ValueError("invariant factors must be positive")

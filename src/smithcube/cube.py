@@ -8,12 +8,11 @@ group of the cube.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
 from math import comb
 
-from .bigmat import IntMatrix, assemble
+from .bigmat import IntMatrix, _Record, assemble
 from .subsets import SIZE_CAP, incidence_matrix
 
 
@@ -37,12 +36,9 @@ def vertex_order(n: int) -> tuple:
     return tuple(sorted(range(1 << n), key=int.bit_count))
 
 
-@dataclass(frozen=True)
-class BlockPair:
+class BlockPair(_Record):
     """The two diagonal half blocks of the monomial-basis matrix, n even."""
-    n: int
-    M: IntMatrix
-    N: IntMatrix
+    __slots__ = ("n", "M", "N")
 
 
 def adjacency(n: int) -> IntMatrix:

@@ -10,10 +10,9 @@ size copies of the same shadow, scaled by 2.  Recursing yields the complete
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
-from .bigmat import IntMatrix, assemble, snf, two_adic_counts, valuation
+from .bigmat import IntMatrix, _Record, assemble, snf, two_adic_counts, valuation
 from .canonical import _check_half, build_E, wilson_form
 from .cube import (_check_n, _require_even, adjacency, graded_blocks,
                    laplacian, vertex_order)
@@ -58,8 +57,7 @@ def build_B(n: int) -> IntMatrix:
 # -- the condensed block shadow -------------------------------------------
 
 
-@dataclass(frozen=True)
-class CondensedMatrix:
+class CondensedMatrix(_Record):
     """Blockwise shadow of B: one weighted entry per scalar block.
 
     Rows are labeled (i, k) with 1 <= k <= i <= m; columns (j, l) with
@@ -88,21 +86,14 @@ class CondensedMatrix:
       level keep every nonzero entry, and the product -o o' before its
       halving, nonzero at every depth.  A cancellation x - x = 0 is exact.
     """
-    m: int
-    precision: int  # the even entries are residues mod 2^precision
-    # (row_label, col_label) -> int: the exact diagonal value i+1-k, or the
-    # even entry's residue v, 0 < v < 2^precision, of valuation <= m
-    entries: dict
-    row_weights: dict  # row_label -> positive int
+    # entries: (row_label, col_label) -> int; row_weights: row_label -> int > 0
+    __slots__ = ("m", "precision", "entries", "row_weights")
 
     def row_labels(self) -> tuple:
         return tuple((i, k) for i in range(1, self.m + 1) for k in range(1, i + 1))
 
     def col_labels(self) -> tuple:
         return tuple((j, l) for j in range(self.m + 1) for l in range(1, j + 2))
-
-    def __post_init__(self):
-        self.validate()
 
     def validate(self) -> None:
         m, top = self.m, 1 << self.precision
@@ -169,12 +160,10 @@ def build_condensed(m: int) -> CondensedMatrix:
     return CondensedMatrix(m, m + m.bit_length() + 2, entries, weights)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(_Record):
     """Result of one diagonal-killing pass over a condensed matrix."""
-    odd_pivots: tuple  # (value, weight) pairs
-    even_residual: CondensedMatrix  # rows/cols with even block index
-    odd_residual: CondensedMatrix  # rows/cols with odd block index
+    # odd_pivots: (value, weight) pairs; residuals: even / odd block indices
+    __slots__ = ("odd_pivots", "even_residual", "odd_residual")
 
 
 def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
@@ -363,12 +352,9 @@ def invariant_factor_rle(counts: dict) -> tuple:
     return _positional_merge(_valuation_tables(merged), total)
 
 
-@dataclass(frozen=True)
-class SmithGroupSummary:
+class SmithGroupSummary(_Record):
     """Diagonal form of the cube's adjacency matrix plus the free rank."""
-    n: int
-    free_rank: int
-    nonzero: dict  # diagonal entry -> multiplicity
+    __slots__ = ("n", "free_rank", "nonzero")  # nonzero: diagonal entry -> multiplicity
 
     def invariant_factor_rle(self) -> tuple:
         return invariant_factor_rle(self.nonzero)
@@ -473,12 +459,9 @@ def verify_conjecture(n: int, oracle_cap: int) -> bool:
     return divisor_side == eigen_side and summary.free_rank == zero_eigen
 
 
-@dataclass(frozen=True)
-class LaplacianReport:
+class LaplacianReport(_Record):
     """Shared low 2-elementary divisor multiplicities of A and n*I - A."""
-    n: int
-    s: int
-    comparisons: tuple  # (exponent, mult in A, mult in Laplacian)
+    __slots__ = ("n", "s", "comparisons")  # (exponent, mult in A, mult in Laplacian)
 
     @property
     def ok(self) -> bool:

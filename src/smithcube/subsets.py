@@ -25,13 +25,16 @@ NONZERO_CAP = 3 ** SIZE_CAP
 def _check_side(n: int, k: int) -> None:
     """Refuse C(n, k) k-subsets as a matrix side above 2^SIZE_CAP, before
     anything is allocated; C(n, j) grows with j up to min(k, n - k), so the
-    loop stops early for a large n."""
+    loop stops early for a large n.  k = n > 2^SIZE_CAP is refused too: n
+    one-bit masks hold O(n^2) bits (for 0 < k < n, C(n, k) >= n already is)."""
     side = 1
     for j in range(min(k, n - k)):
         side = side * (n - j) // (j + 1)
         if side > 1 << SIZE_CAP:
             raise ValueError(f"a side of C({n}, {k}) subsets exceeds the "
                              f"size cap 2^{SIZE_CAP} = {1 << SIZE_CAP}")
+    if k and n > 1 << SIZE_CAP:
+        raise ValueError(f"n={n} exceeds the size cap 2^{SIZE_CAP} = {1 << SIZE_CAP}")
 
 
 def _bits(s: int) -> list:

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -5,8 +6,10 @@ import pytest
 from smithcube.bigmat import (IntMatrix, InvariantFactors, assemble,
                               from_text, snf, to_text, two_adic_counts,
                               valuation)
-from smithcube.cube import adjacency, laplacian
-from smithcube.reduction import _factor_small
+from smithcube.cube import adjacency, blocks, laplacian
+from smithcube.reduction import (_factor_small, build_condensed,
+                                 laplacian_partial_check, reduce_condensed,
+                                 smith_group)
 
 
 def test_snf_coprime_diagonal():
@@ -52,6 +55,53 @@ def test_invariant_factors_validation():
         InvariantFactors((2, 3), 0)
     with pytest.raises(ValueError):
         InvariantFactors((0, 2), 0)
+
+
+# one instance of each immutable record, with its field names
+RECORDS = {
+    "InvariantFactors": (lambda: InvariantFactors((1, 6), 0),
+                         ("factors", "zero_count")),
+    "BlockPair": (lambda: blocks(2), ("n", "M", "N")),
+    "CondensedMatrix": (lambda: build_condensed(3),
+                        ("m", "precision", "entries", "row_weights")),
+    "ReductionStep": (lambda: reduce_condensed(build_condensed(3)),
+                      ("odd_pivots", "even_residual", "odd_residual")),
+    "SmithGroupSummary": (lambda: smith_group(4), ("n", "free_rank", "nonzero")),
+    "LaplacianReport": (lambda: laplacian_partial_check(4),
+                        ("n", "s", "comparisons")),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_and_equal_by_class_and_fields(name):
+    make, fields = RECORDS[name]
+    rec = make()
+    cls = type(rec)
+    assert cls.__name__ == name
+    values = tuple(getattr(rec, f) for f in fields)
+    for f, v in zip(fields, values):
+        with pytest.raises(AttributeError):
+            setattr(rec, f, v)
+        with pytest.raises(AttributeError):
+            delattr(rec, f)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    twin = cls(*values)
+    assert twin == rec and not twin != rec
+    assert copy.copy(rec) == rec
+
+    class Other(cls):
+        pass
+
+    assert Other(*values) != rec and rec != Other(*values)
+    assert rec != values
+    try:
+        hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(twin) == hash(rec)
 
 
 # (c_0, ..., c_11) of A(n) and of L(n) = nI - A(n), trailing zeros left

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import subprocess
 import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -241,12 +243,34 @@ def test_oversized_subset_matrix_refused_before_allocation(capsys):
             (("verify", "bier", "30"), side),
             (("matrix", "W", "16384", "1", "16383"),
              "error: W(16384, 1, 16383) has 268419072 nonzeros, above the cap "
-             "3^14 = 4782969\n")):
+             "3^14 = 4782969\n"),
+            # one k-subset of a large n: its n one-bit masks hold O(n^2) bits
+            (("matrix", "W", "30000", "30000", "30000"),
+             "error: n=30000 exceeds the size cap 2^14 = 16384\n"),
+            (("matrix", "W", "200000", "200000", "200000"),
+             "error: n=200000 exceeds the size cap 2^14 = 16384\n")):
         t0 = time.monotonic()
         code, out, err = run(capsys, *argv)
         assert time.monotonic() - t0 < 1.0, argv
         assert (code, out) == (1, ""), argv
         assert err == expected, argv
+
+
+def test_empty_subsets_of_a_large_n_still_print(capsys):
+    for argv in (("matrix", "W", "30000", "0", "0"), ("matrix", "E", "100000", "0")):
+        assert run(capsys, *argv) == (0, "1 1\n1 1 1\n0 0 0\n", ""), argv
+
+
+def test_cli_import_leaves_out_dataclasses_and_typing():
+    # every command runs in a fresh process, and dataclasses with typing
+    # pulled in inspect, ast, dis and tokenize: about 20 ms of each start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+            "import smithcube.cli; print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-S", "-c", code, src], check=True,
+                           capture_output=True, text=True, timeout=60).stdout.split()
+    assert "smithcube.cli" in added
+    assert not {"dataclasses", "inspect", "typing", "ast", "dis"} & set(added)
 
 
 def test_oversized_reduction_refused_before_the_shadow(capsys, monkeypatch):

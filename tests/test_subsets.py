@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 from itertools import combinations
@@ -131,6 +132,20 @@ def test_inclusion_composition():
                     lhs = incidence_matrix(n, t, k) @ incidence_matrix(n, k, l)
                     rhs = incidence_matrix(n, t, l).scale(comb(l - t, k - t))
                     assert lhs == rhs
+
+
+def test_n_above_the_cap_refused_for_nonempty_subsets():
+    # n one-bit masks hold O(n^2) bits: W(30000, 30000, 30000) peaked at
+    # 132 MB for a 1x1 matrix, and n = 200000 ended in a MemoryError under a
+    # 1 GiB limit; k = 0 takes no mask and still passes
+    cap = 1 << 14
+    assert enumerate_subsets(cap, cap) == ((1 << cap) - 1,)
+    refusal = re.escape(f"n={cap + 1} exceeds the size cap 2^14 = {cap}")
+    with pytest.raises(ValueError, match=refusal):
+        enumerate_subsets(cap + 1, cap + 1)
+    with pytest.raises(ValueError, match=refusal):
+        incidence_matrix(cap + 1, cap + 1, cap + 1)
+    assert incidence_matrix(cap + 1, 0, 0) == IntMatrix([[1]])
 
 
 def test_incidence_cost_follows_nonzeros_at_large_n():
