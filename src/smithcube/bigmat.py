@@ -33,7 +33,44 @@ def _pairs(row: dict) -> tuple:
     return tuple(sorted(filter(itemgetter(1), row.items())))
 
 
-class IntMatrix:
+class _Record:
+    """Immutable record whose fields are its slots, given positionally;
+    `==` holds only within one class, and `validate` runs on construction."""
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+        self.validate()
+
+    def validate(self) -> None:
+        """Refuse invalid fields; the default accepts any."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class IntMatrix(_Record):
     """Sparse matrix of arbitrary-precision integers.
 
     Each row is stored as its nonzero (col, value) pairs in column order;
@@ -58,22 +95,18 @@ class IntMatrix:
         # cannot pass as a zero
         for row in data:
             _check_entries(row)
-        self._set(tuple(tuple(compress(enumerate(row), row)) for row in data), cols)
-
-    def _set(self, data: tuple, cols: int) -> None:
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_data", data)
+        data = tuple(tuple(compress(enumerate(row), row)) for row in data)
+        super().__init__(len(data), cols, data)
 
     @classmethod
     def _stored(cls, data: tuple, cols: int) -> "IntMatrix":
         """Wrap rows that are already nonzero pairs in column order."""
         m = object.__new__(cls)
-        m._set(data, cols)
+        _Record.__init__(m, len(data), cols, data)
         return m
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+    def __reduce__(self):
+        return type(self)._stored, (self._data, self.cols)
 
     # -- constructors -----------------------------------------------------
 
@@ -132,12 +165,10 @@ class IntMatrix:
         """Dense mutable copy of the entries, row-major."""
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, IntMatrix) and self.cols == other.cols
-                and self._data == other._data)
-
-    def __hash__(self):
-        return hash((self.cols, self._data))
+    # the base's own methods, bound here because the tracer wraps __eq__ by
+    # name in this class body, and a class body that sets __eq__ alone
+    # drops the inherited __hash__
+    __eq__, __hash__ = _Record.__eq__, _Record.__hash__
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -273,43 +304,6 @@ def assemble(row_sizes: Sequence[int], col_sizes: Sequence[int],
 
 
 # -- invariant factors and elementary divisors ----------------------------
-
-
-class _Record:
-    """Immutable record whose fields are its slots, given positionally;
-    `==` holds only within one class, and `validate` runs on construction."""
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-        self.validate()
-
-    def validate(self) -> None:
-        """Refuse invalid fields; the default accepts any."""
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
 
 
 class InvariantFactors(_Record):

@@ -16,7 +16,7 @@ from .bigmat import IntMatrix, _Record, assemble, snf, two_adic_counts, valuatio
 from .canonical import _check_half, build_E, wilson_form
 from .cube import (_check_n, _require_even, adjacency, graded_blocks,
                    laplacian, vertex_order)
-from .subsets import count_full_rank
+from .subsets import SIZE_CAP, count_full_rank
 
 
 def _binomial_row(n: int, k: int) -> list:
@@ -33,6 +33,10 @@ def _binomial_row(n: int, k: int) -> list:
 def stacked_basis(n: int, k: int) -> IntMatrix:
     """Block-diagonal sum of the canonical basis matrices for sizes 0..k."""
     _check_half(n, k)
+    side = sum(_binomial_row(n, k))
+    if side > 1 << SIZE_CAP:
+        raise ValueError(f"Estack({n}, {k}) has side {side}, above the size "
+                         f"cap 2^{SIZE_CAP} = {1 << SIZE_CAP}")
     Es = [build_E(n, j) for j in range(k + 1)]
     return assemble([E.rows for E in Es], [E.cols for E in Es],
                     lambda i, j: Es[i] if i == j else None)

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 
 import pytest
@@ -89,6 +90,8 @@ def test_records_are_immutable_and_equal_by_class_and_fields(name):
     twin = cls(*values)
     assert twin == rec and not twin != rec
     assert copy.copy(rec) == rec
+    assert copy.deepcopy(rec) == rec
+    assert pickle.loads(pickle.dumps(rec)) == rec
 
     class Other(cls):
         pass
@@ -192,6 +195,14 @@ def test_immutability():
     m = IntMatrix.identity(2)
     with pytest.raises(AttributeError):
         m.rows = 3
+    with pytest.raises(AttributeError):
+        del m.rows
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(twin) is IntMatrix and twin == m and hash(twin) == hash(m)
+        with pytest.raises(AttributeError):
+            twin.cols = 5
+    assert hash(IntMatrix([[1, 0], [0, 1]])) == hash(m)
+    assert m != object() and not m == object()
 
 
 def test_text_round_trip():

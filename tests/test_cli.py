@@ -60,6 +60,9 @@ MATRIX_SHA256 = {
         "7fa99683e391df840471c25f298d25faeb9bbc047a76607c2b15aa85f0216497",
     "W 10 5 4":
         "19669a4c14e2bfbf24050f3ec95f35cb3e4a6c21a58836b15a524f1c7da2fd74",
+    # recorded before the stacked basis checked its own side
+    "Estack 6 3":
+        "6495debd532ae99c803984bc2aaed1ac0da382e9a8e68147ac187a7b9d08076f",
 }
 
 
@@ -254,6 +257,19 @@ def test_oversized_subset_matrix_refused_before_allocation(capsys):
         assert time.monotonic() - t0 < 1.0, argv
         assert (code, out) == (1, ""), argv
         assert err == expected, argv
+
+
+def test_oversized_stacked_basis_refused_before_any_basis(capsys, monkeypatch):
+    # the side of Estack(n, k) is C(n, 0) + ... + C(n, k), not C(n, k):
+    # Estack(16, 8) once ended in a MemoryError under a 1 GiB limit
+    def no_build(n, k):
+        raise AssertionError(f"E({n}, {k}) was started")
+    monkeypatch.setattr(reduction, "build_E", no_build)
+    for k, side in ((7, 26333), (8, 39203)):
+        code, out, err = run(capsys, "matrix", "Estack", "16", str(k))
+        assert (code, out) == (1, ""), k
+        assert err == (f"error: Estack(16, {k}) has side {side}, above the size "
+                       "cap 2^14 = 16384\n"), k
 
 
 def test_empty_subsets_of_a_large_n_still_print(capsys):
