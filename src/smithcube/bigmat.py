@@ -7,8 +7,7 @@ share between threads.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import gcd
 from operator import itemgetter
 
@@ -79,24 +78,9 @@ class IntMatrix(_Record):
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, data: Sequence[Sequence[int]], cols: int | None = None):
-        """Dense constructor for small fixtures: one list of entries per row."""
-        data = [tuple(row) for row in data]
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row length")
-            cols = width
-        else:
-            cols = 0 if cols is None else cols
-        # every entry is checked before the zeros are dropped, so a False
-        # cannot pass as a zero
-        for row in data:
-            _check_entries(row)
-        data = tuple(tuple(compress(enumerate(row), row)) for row in data)
-        super().__init__(len(data), cols, data)
+    def __init__(self, *args, **kwargs):
+        # the base's __init__ would store unchecked rows
+        raise TypeError("IntMatrix(...) builds nothing; use IntMatrix.from_rows")
 
     @classmethod
     def _stored(cls, data: tuple, cols: int) -> "IntMatrix":
@@ -112,8 +96,8 @@ class IntMatrix(_Record):
 
     @classmethod
     def from_rows(cls, rows: Iterable[dict], cols: int) -> "IntMatrix":
-        """Matrix with one {col: value} dict per row, the constructor for
-        builders.  Values must be ints (bool is refused) and columns lie in
+        """Matrix with one {col: value} dict per row, the one builder.
+        Values must be ints (bool is refused) and columns lie in
         0..cols-1; zero values are dropped."""
         data = []
         for row in rows:
@@ -142,28 +126,17 @@ class IntMatrix(_Record):
 
     # -- access -----------------------------------------------------------
 
-    def __getitem__(self, key) -> int:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) out of bounds")
-        row = self._data[i]
-        k = bisect_left(row, (j,))
-        return row[k][1] if k < len(row) and row[k][0] == j else 0
-
     def pairs(self, i: int) -> tuple:
         """The stored nonzero (col, value) pairs of row i, in column order."""
         return self._data[i]
 
-    def row(self, i: int) -> tuple:
-        """Dense copy of row i."""
-        out = [0] * self.cols
-        for j, v in self._data[i]:
-            out[j] = v
-        return tuple(out)
-
     def row_lists(self) -> list:
         """Dense mutable copy of the entries, row-major."""
-        return [list(self.row(i)) for i in range(self.rows)]
+        grid = [[0] * self.cols for _ in range(self.rows)]
+        for out, row in zip(grid, self._data):
+            for j, v in row:
+                out[j] = v
+        return grid
 
     # the base's own methods, bound here because the tracer wraps __eq__ by
     # name in this class body, and a class body that sets __eq__ alone

@@ -10,7 +10,7 @@ size copies of the same shadow, scaled by 2.  Recursing yields the complete
 """
 from __future__ import annotations
 
-from math import isqrt
+from math import comb, isqrt
 
 from .bigmat import IntMatrix, _Record, assemble, snf, two_adic_counts, valuation
 from .canonical import _check_half, build_E, wilson_form
@@ -33,7 +33,7 @@ def _binomial_row(n: int, k: int) -> list:
 def stacked_basis(n: int, k: int) -> IntMatrix:
     """Block-diagonal sum of the canonical basis matrices for sizes 0..k."""
     _check_half(n, k)
-    side = sum(_binomial_row(n, k))
+    side = sum(comb(n, j) for j in range(k + 1))
     if side > 1 << SIZE_CAP:
         raise ValueError(f"Estack({n}, {k}) has side {side}, above the size "
                          f"cap 2^{SIZE_CAP} = {1 << SIZE_CAP}")
@@ -365,8 +365,9 @@ class SmithGroupSummary(_Record):
 
 
 def eigenvalue_diagonal(n: int) -> dict:
-    """Multiset of cube eigenvalues n - 2*l with multiplicity C(n, l)."""
-    return {n - 2 * level: mult for level, mult in enumerate(_binomial_row(n, n))}
+    """Multiset of cube eigenvalues n - 2*l with multiplicity C(n, l),
+    counted with `math.comb` apart from the closed form's binomial row."""
+    return {n - 2 * l: comb(n, l) for l in range(n + 1)}
 
 
 def smith_group(n: int) -> SmithGroupSummary:

@@ -18,25 +18,27 @@ from smithcube.reduction import (build_condensed, eigenvalue_diagonal,
                                  verify_conjecture)
 from smithcube.subsets import incidence_matrix
 
-M4 = IntMatrix([[4, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
+from grids import from_grid
+
+M4 = from_grid([[4, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
                 [0, 2, 0, 0, 0, 1, 1, 0, 1, 0, 0],
                 [0, 0, 2, 0, 0, 1, 0, 1, 0, 1, 0],
                 [0, 0, 0, 2, 0, 0, 1, 1, 0, 0, 1],
                 [0, 0, 0, 0, 2, 0, 0, 0, 1, 1, 1]])
 
-E1 = IntMatrix([[1, 1, 1, 1],
+E1 = from_grid([[1, 1, 1, 1],
                 [0, 1, 0, 0],
                 [0, 0, 1, 0],
                 [0, 0, 0, 1]])
 
-E2 = IntMatrix([[1, 1, 1, 1, 1, 1],
+E2 = from_grid([[1, 1, 1, 1, 1, 1],
                 [1, 0, 1, 0, 1, 0],
                 [0, 1, 1, 0, 0, 1],
                 [0, 0, 0, 1, 1, 1],
                 [0, 0, 0, 0, 1, 0],
                 [0, 0, 0, 0, 0, 1]])
 
-B4 = IntMatrix([[4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+B4 = from_grid([[4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
                 [0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0],
                 [0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0],
                 [0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0],
@@ -117,12 +119,10 @@ def test_criterion_05_inclusion_smith_data():
 def test_criterion_06_half_block_symmetry():
     for n in (2, 4, 6, 8):
         assert verify_half_lemma(n), n
-        m_block = blocks(n).M
-        doubled = snf(IntMatrix(
-            [list(m_block.row(i)) + [0] * m_block.cols
-             for i in range(m_block.rows)] +
-            [[0] * m_block.cols + list(m_block.row(i))
-             for i in range(m_block.rows)], 2 * m_block.cols))
+        grid = blocks(n).M.row_lists()
+        pad = [0] * len(grid[0])
+        doubled = snf(from_grid([row + pad for row in grid] +
+                                [pad + row for row in grid]))
         assert doubled.factors == snf(adjacency(n)).factors, n
     print("criterion 06 PASS: both half blocks share their Smith data and "
           "two copies of M carry the cube's nonzero invariant factors, "

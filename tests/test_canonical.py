@@ -8,18 +8,20 @@ from smithcube.canonical import (build_E, build_E_jk, verify_bier,
 from smithcube.subsets import (count_full_rank, enumerate_subsets,
                                has_full_rank, incidence_matrix)
 
+from grids import from_grid
+
 
 def test_E_jk_fixtures_n4():
-    assert build_E_jk(4, 0, 2) == IntMatrix([[1, 1, 1, 1, 1, 1]])
-    assert build_E_jk(4, 1, 2) == IntMatrix([[1, 0, 1, 0, 1, 0],
+    assert build_E_jk(4, 0, 2) == from_grid([[1, 1, 1, 1, 1, 1]])
+    assert build_E_jk(4, 1, 2) == from_grid([[1, 0, 1, 0, 1, 0],
                                              [0, 1, 1, 0, 0, 1],
                                              [0, 0, 0, 1, 1, 1]])
-    assert build_E_jk(4, 2, 2) == IntMatrix([[0, 0, 0, 0, 1, 0],
+    assert build_E_jk(4, 2, 2) == from_grid([[0, 0, 0, 0, 1, 0],
                                              [0, 0, 0, 0, 0, 1]])
 
 
 def test_E_fixture_n4_k1():
-    assert build_E(4, 1) == IntMatrix([[1, 1, 1, 1],
+    assert build_E(4, 1) == from_grid([[1, 1, 1, 1],
                                        [0, 1, 0, 0],
                                        [0, 0, 1, 0],
                                        [0, 0, 0, 1]])
@@ -30,7 +32,7 @@ def test_E_fixture_n4_k1():
 
 def test_E_fixture_n4_k2():
     # the displayed lower block of the stacked basis for 2-subsets
-    assert build_E(4, 2) == IntMatrix([[1, 1, 1, 1, 1, 1],
+    assert build_E(4, 2) == from_grid([[1, 1, 1, 1, 1, 1],
                                               [1, 0, 1, 0, 1, 0],
                                               [0, 1, 1, 0, 0, 1],
                                               [0, 0, 0, 1, 1, 1],
@@ -72,9 +74,9 @@ def test_row_label_partition_telescopes():
 def test_wilson_form_fixtures():
     d = wilson_form(4, 1, 2)
     assert (d.rows, d.cols) == (4, 6)
-    assert [d[i, i] for i in range(4)] == [2, 1, 1, 1]
+    assert [row[i] for i, row in enumerate(d.row_lists())] == [2, 1, 1, 1]
     assert wilson_diagonal(4, 1, 2) == (2, 1, 1, 1)
-    assert wilson_form(4, 0, 1) == IntMatrix([[1, 0, 0, 0]])
+    assert wilson_form(4, 0, 1) == from_grid([[1, 0, 0, 0]])
     assert wilson_diagonal(8, 3, 3) == (1,) * comb(8, 3)
 
 

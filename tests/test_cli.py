@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from smithcube import cli, cube, reduction
-from smithcube.bigmat import IntMatrix, from_text
+from smithcube.bigmat import from_text
+
+from grids import from_grid
 
 
 def run(capsys, *argv):
@@ -172,13 +174,13 @@ def test_verify_laplacian(capsys):
 def test_matrix_output(capsys):
     code, out, _ = run(capsys, "matrix", "W", "4", "1", "2")
     assert code == 0
-    assert from_text(out) == IntMatrix([[1, 1, 0, 1, 0, 0],
+    assert from_text(out) == from_grid([[1, 1, 0, 1, 0, 0],
                                         [1, 0, 1, 0, 1, 0],
                                         [0, 1, 1, 0, 0, 1],
                                         [0, 0, 0, 1, 1, 1]])
     code, out, _ = run(capsys, "matrix", "adjacency", "2")
     assert code == 0
-    assert from_text(out) == IntMatrix([[0, 1, 1, 0], [1, 0, 0, 1],
+    assert from_text(out) == from_grid([[0, 1, 1, 0], [1, 0, 0, 1],
                                         [1, 0, 0, 1], [0, 1, 1, 0]])
     code, out, _ = run(capsys, "matrix", "E", "4", "2")
     assert code == 0

@@ -12,8 +12,10 @@ from smithcube.cube import (BlockPair, adjacency, blocks, laplacian,
 from smithcube.reduction import build_B, smith_group_reduction
 from smithcube.subsets import incidence_matrix
 
+from grids import from_grid
+
 # displayed lower half block of the 4-cube's monomial-basis matrix
-M4 = IntMatrix([[4, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
+M4 = from_grid([[4, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
                 [0, 2, 0, 0, 0, 1, 1, 0, 1, 0, 0],
                 [0, 0, 2, 0, 0, 1, 0, 1, 0, 1, 0],
                 [0, 0, 0, 2, 0, 0, 1, 1, 0, 0, 1],
@@ -25,45 +27,46 @@ def test_vertex_order_n2():
 
 
 def test_adjacency_small_fixtures():
-    assert adjacency(1) == IntMatrix([[0, 1], [1, 0]])
-    assert adjacency(2) == IntMatrix([[0, 1, 1, 0],
-                                             [1, 0, 0, 1],
-                                             [1, 0, 0, 1],
-                                             [0, 1, 1, 0]])
+    assert adjacency(1) == from_grid([[0, 1], [1, 0]])
+    assert adjacency(2) == from_grid([[0, 1, 1, 0],
+                                      [1, 0, 0, 1],
+                                      [1, 0, 0, 1],
+                                      [0, 1, 1, 0]])
 
 
 def test_adjacency_row_sums_symmetry_trace():
     for n in (1, 3, 5):
         a = adjacency(n)
         assert a == a.transpose()
-        assert all(sum(a.row(i)) == n for i in range(a.rows))
-        assert sum(a[i, i] for i in range(a.rows)) == 0
+        grid = a.row_lists()
+        assert all(sum(row) == n for row in grid)
+        assert sum(grid[i][i] for i in range(a.rows)) == 0
 
 
 def test_adjacency_character_eigenvectors():
     # the sign vector of any subset T is an eigenvector for n - 2|T|
     n = 4
-    a = adjacency(n)
+    grid = adjacency(n).row_lists()
     order = vertex_order(n)
     for t in order:
         v = [(-1) ** (t & s).bit_count() for s in order]
-        av = [sum(a[i, j] * v[j] for j in range(len(v))) for i in range(len(v))]
+        av = [sum(x * y for x, y in zip(row, v)) for row in grid]
         lam = n - 2 * t.bit_count()
         assert av == [lam * x for x in v]
 
 
 def test_monomial_adjacency_columns_n2():
-    at = monomial_adjacency(2)
+    at = monomial_adjacency(2).row_lists()
     order = vertex_order(2)
     full = order.index(0b11)
-    col = [at[i, full] for i in range(4)]
+    col = [row[full] for row in at]
     expect = [0] * 4
     expect[full] = 2 - 2 * 2
     expect[order.index(0b01)] = 1
     expect[order.index(0b10)] = 1
     assert col == expect
     empty = order.index(0)
-    assert [at[i, empty] for i in range(4)] == [2, 0, 0, 0]
+    assert [row[empty] for row in at] == [2, 0, 0, 0]
 
 
 def test_packed_zeta_rows_are_the_inclusion_blocks():
@@ -73,7 +76,7 @@ def test_packed_zeta_rows_are_the_inclusion_blocks():
     for n in range(1, 9):
         side = 1 << n
         z = cube._subset_sums(n, (1 << 2 * c for c in range(side)))
-        zeta = IntMatrix([[(z[s] >> 2 * c) & 3 for c in range(side)]
+        zeta = from_grid([[(z[s] >> 2 * c) & 3 for c in range(side)]
                           for s in vertex_order(n)])
         ends = [0, *accumulate(comb(n, i) for i in range(n + 1))]
         for s in range(n + 1):
@@ -93,10 +96,11 @@ def test_conjugacy():
         assert verify_conjugacy(n), n
 
 
-def _with_entry(m: IntMatrix, i: int, j: int, value: int) -> IntMatrix:
-    delta = IntMatrix.from_rows(({j: value - m[i, j]} if r == i else {}
-                                 for r in range(m.rows)), m.cols)
-    return m + delta
+def _with_entry(m: IntMatrix, i: int, j: int, change) -> IntMatrix:
+    """m with entry (i, j) replaced by change(old entry)."""
+    grid = m.row_lists()
+    grid[i][j] = change(grid[i][j])
+    return from_grid(grid, m.cols)
 
 
 @pytest.mark.parametrize("builder, entry, new_value", [
@@ -110,8 +114,7 @@ def test_conjugacy_fails_on_one_changed_entry(capsys, monkeypatch, builder,
     build = getattr(cube, builder)
 
     def changed(n):
-        m = build(n)
-        return _with_entry(m, *entry, new_value(m[entry]))
+        return _with_entry(build(n), *entry, new_value)
     monkeypatch.setattr(cube, builder, changed)
     assert verify_conjugacy(4) is False
     assert cli.main(["verify", "conjugacy", "4"]) == 2
@@ -152,7 +155,7 @@ def test_half_lemma_replay_rejects_every_sign_flip():
     flips = [(i, j) for i in range(pair.N.rows) for j, _ in pair.N.pairs(i)]
     assert len(flips) == 21
     for i, j in flips:
-        flipped = _with_entry(pair.N, i, j, -pair.N[i, j])
+        flipped = _with_entry(pair.N, i, j, lambda x: -x)
         assert snf(flipped.transpose()) == snf(pair.M), (i, j)
         assert not cube._replay(BlockPair(4, pair.M, flipped)), (i, j)
 
@@ -160,11 +163,10 @@ def test_half_lemma_replay_rejects_every_sign_flip():
 def test_doubling_of_half_block():
     # the nonzero Smith data of the whole matrix is that of M taken twice
     for n in (4, 6):
-        m_block = blocks(n).M
-        doubled = snf(IntMatrix(
-            [list(m_block.row(i)) + [0] * m_block.cols for i in range(m_block.rows)] +
-            [[0] * m_block.cols + list(m_block.row(i)) for i in range(m_block.rows)],
-            2 * m_block.cols))
+        grid = blocks(n).M.row_lists()
+        pad = [0] * len(grid[0])
+        doubled = snf(from_grid([row + pad for row in grid] +
+                                [pad + row for row in grid]))
         assert doubled.factors == snf(adjacency(n)).factors
 
 
@@ -180,7 +182,7 @@ def test_odd_n_determinant_is_odd():
 
 def test_laplacian_row_sums_vanish():
     lap = laplacian(3)
-    assert all(sum(lap.row(i)) == 0 for i in range(lap.rows))
+    assert all(sum(row) == 0 for row in lap.row_lists())
 
 
 def test_size_cap_and_bounds():

@@ -16,8 +16,10 @@ from smithcube.reduction import (CondensedMatrix, build_B, build_condensed,
                                  two_local_divisors_of_M, verify_conjecture)
 from smithcube.subsets import count_full_rank
 
+from grids import from_grid
+
 # displayed conjugated half block for the 4-cube
-B4 = IntMatrix([[4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+B4 = from_grid([[4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
                 [0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0],
                 [0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0],
                 [0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0],
@@ -382,6 +384,24 @@ def test_conjecture_above_cap_checks_the_reduction(monkeypatch):
 def test_eigenvalue_diagonal():
     assert eigenvalue_diagonal(2) == {2: 1, 0: 2, -2: 1}
     assert sum(eigenvalue_diagonal(7).values()) == 128
+
+
+@pytest.mark.parametrize("cap", [[], ["--cap", "8"]], ids=["default-cap", "cap-8"])
+def test_closed_form_row_does_not_reach_the_eigen_side(monkeypatch, capsys, cap):
+    # +2 at l = 3 and 9 and -2 at l = 5 and 7 keeps the rank and both
+    # parities; an eigen side read off the same row took the poison too, and
+    # the wrong group passed as "ok"
+    original = reduction._binomial_row
+
+    def poisoned(n, k):
+        row = original(n, k)
+        for level, change in ((3, 2), (9, 2), (5, -2), (7, -2)):
+            if n == 12 and level <= k:
+                row[level] += change
+        return row
+    monkeypatch.setattr(reduction, "_binomial_row", poisoned)
+    assert cli.main(["smith-group", "12", "--method", "all", *cap]) == 2
+    assert '"status":"mismatch"' in capsys.readouterr().out
 
 
 def test_laplacian_partial():

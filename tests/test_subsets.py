@@ -10,6 +10,8 @@ from smithcube.bigmat import IntMatrix
 from smithcube.subsets import (count_full_rank, enumerate_subsets,
                                has_full_rank, incidence_matrix)
 
+from grids import from_grid
+
 
 def _mask(subset):
     return sum(1 << (x - 1) for x in subset)
@@ -89,7 +91,7 @@ def test_count_full_rank_matches_enumeration():
 
 def test_incidence_w12_matches_display():
     w = incidence_matrix(4, 1, 2)
-    assert w == IntMatrix([[1, 1, 0, 1, 0, 0],
+    assert w == from_grid([[1, 1, 0, 1, 0, 0],
                            [1, 0, 1, 0, 1, 0],
                            [0, 1, 1, 0, 0, 1],
                            [0, 0, 0, 1, 1, 1]])
@@ -97,13 +99,13 @@ def test_incidence_w12_matches_display():
 
 def test_incidence_w01_all_ones():
     for n in (1, 4, 7):
-        assert incidence_matrix(n, 0, 1) == IntMatrix([[1] * n])
+        assert incidence_matrix(n, 0, 1) == from_grid([[1] * n])
 
 
 def test_incidence_containment_direction():
     w = incidence_matrix(3, 2, 1)
     # rows {1,2},{1,3},{2,3} contain columns {1},{2},{3}
-    assert w == IntMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    assert w == from_grid([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
 
 
 def test_incidence_bounds():
@@ -145,14 +147,14 @@ def test_n_above_the_cap_refused_for_nonempty_subsets():
         enumerate_subsets(cap + 1, cap + 1)
     with pytest.raises(ValueError, match=refusal):
         incidence_matrix(cap + 1, cap + 1, cap + 1)
-    assert incidence_matrix(cap + 1, 0, 0) == IntMatrix([[1]])
+    assert incidence_matrix(cap + 1, 0, 0) == from_grid([[1]])
 
 
 def test_incidence_cost_follows_nonzeros_at_large_n():
     # a row never scans all n bits: W(16384, 1, 0) once took minutes
     n = 1 << 14
     t0 = time.monotonic()
-    assert incidence_matrix(n, 1, 0) == IntMatrix([[1]] * n)
-    assert incidence_matrix(n, 0, 1) == IntMatrix([[1] * n])
+    assert incidence_matrix(n, 1, 0) == from_grid([[1]] * n)
+    assert incidence_matrix(n, 0, 1) == from_grid([[1] * n])
     assert incidence_matrix(n, 1, 1) == IntMatrix.identity(n)
     assert time.monotonic() - t0 < 5.0
