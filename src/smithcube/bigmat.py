@@ -11,6 +11,10 @@ from itertools import accumulate
 from math import gcd
 from operator import itemgetter
 
+# the module behind collections.abc, which os and collections load anyway,
+# so the annotations resolve without importing collections.abc or typing
+from _collections_abc import Iterable, Sequence
+
 
 _PLAIN_INT = frozenset({int})
 
@@ -292,6 +296,14 @@ class InvariantFactors(_Record):
                 raise ValueError(f"divisibility chain broken: {a} does not divide {b}")
 
 
+def _packed(m: IntMatrix, width: int, modulus: int = 0) -> list:
+    """Each row of m as one int, the entry in column c at bits width*c on,
+    as an exact signed sum, or as its residue mod `modulus` if given."""
+    if modulus:
+        return [sum(v % modulus << c * width for c, v in row) for row in m._data]
+    return [sum(v << c * width for c, v in row) for row in m._data]
+
+
 def _divisibility_chain(entries: Iterable[int]) -> list:
     """Invariant factors of a diagonal matrix with the given nonzero entries.
 
@@ -431,8 +443,7 @@ def two_adic_counts(m: IntMatrix, e: int) -> tuple:
         raise ValueError(f"e must be >= 1, got {e}")
     width = 2 * e + 1
     top = 1 << e
-    rows = [r for r in (sum(v % top << j * width for j, v in row)
-                        for row in m._data) if r]
+    rows = [r for r in _packed(m, width, top) if r]
     # bit 0 of every slot
     odd = sum(1 << s for s in range(0, m.cols * width, width))
     counts = []

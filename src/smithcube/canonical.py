@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .bigmat import IntMatrix, assemble
+from .bigmat import IntMatrix, _packed, assemble
 from .subsets import (_check_side, count_full_rank, enumerate_subsets,
                       has_full_rank, incidence_matrix)
 
@@ -67,11 +67,52 @@ def wilson_form(n: int, t: int, k: int) -> IntMatrix:
     return IntMatrix.from_rows(({i: e} for i, e in enumerate(entries)), comb(n, k))
 
 
-def verify_bier(n: int, t: int, k: int) -> bool:
-    """Check E_t * W_{t,k} = D_{t,k} * E_k (inversion-free form)."""
-    _check_sizes(n, t, k)
-    e_t = build_E(n, t)
-    e_k = build_E(n, k)
-    w = incidence_matrix(n, t, k)
-    d = wilson_form(n, t, k)
-    return e_t @ w == d @ e_k
+def _combine(pairs: tuple, rows: list) -> int:
+    """The sum of v * rows[c] over the (c, v) pairs; v is 1 in every true
+    inclusion matrix, and multiplying a packed row by 1 would copy it."""
+    return sum(rows[c] if v == 1 else v * rows[c] for c, v in pairs)
+
+
+def verify_bier(n: int) -> list:
+    """The pairs [t, k], t <= k <= n/2, for which Bier's identity
+    E_t * W_{t,k} = D_{t,k} * E_k fails, k then t ascending.
+
+    It is checked row by row, without a product.  Row J of E_t, for a
+    full-rank j-subset J, j <= t, is row J of W_{j,t}, so that row of the
+    left side is the sum of W_{j,t}[J, T] * W_{t,k}[T] over the t-subsets T.
+    The rows of E_k up to C(n, t) are its blocks j <= t, so the same row of
+    the right side is d_J * W_{j,k}[J], with d_J J's entry of
+    wilson_diagonal(n, t, k); a diagonal whose length is not E_t's row
+    count fails the pair.  Each W_{a,b}, a <= b <= n/2, is built once,
+    and for each k the rows of every W_{a,k} are packed into ints at one
+    slot width.  An entry of the left side is at most the largest absolute
+    row sum of W_{j,t} times the largest |W_{t,k}|, one of the right side
+    at most the largest |d| times the largest |W_{j,k}|; the width is two
+    bits wider than their largest sum over all (j, t, k), so no slot of the
+    difference reaches its range and equal packed rows have equal entries.
+    """
+    half = n // 2
+    _check_half(n, half)  # refuse before any matrix is built
+    w = {(a, b): incidence_matrix(n, a, b) for b in range(half + 1)
+         for a in range(b + 1)}
+    d = {pair: wilson_diagonal(n, *pair) for pair in w}
+    peak, row_sum = {}, {}
+    for pair, m in w.items():
+        rows = [[abs(v) for _, v in m.pairs(i)] for i in range(m.rows)]
+        peak[pair] = max(map(max, filter(None, rows)), default=0)
+        row_sum[pair] = max(map(sum, rows), default=0)
+    width = max(row_sum[j, t] * peak[t, k]
+                + max(map(abs, d[t, k]), default=0) * peak[j, k]
+                for t, k in w for j in range(t + 1)).bit_length() + 2
+    full = [(j, i) for j in range(half + 1)
+            for i, s in enumerate(enumerate_subsets(n, j)) if has_full_rank(s)]
+    failures = []
+    for k in range(half + 1):
+        packed = [_packed(w[a, k], width) for a in range(k + 1)]
+        for t in range(k + 1):
+            labels = [(j, i) for j, i in full if j <= t]
+            if len(labels) != len(d[t, k]) or not all(
+                    _combine(w[j, t].pairs(i), packed[t]) == dj * packed[j][i]
+                    for (j, i), dj in zip(labels, d[t, k])):
+                failures.append([t, k])
+    return failures

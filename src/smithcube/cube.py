@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import comb
 
-from .bigmat import IntMatrix, _Record, assemble
+from .bigmat import IntMatrix, _Record, _packed, assemble
 from .subsets import SIZE_CAP, incidence_matrix
 
 
@@ -93,8 +93,7 @@ def verify_conjugacy(n: int) -> bool:
     w = max(sum(abs(v) for _, v in m.pairs(i)) for m in (a, at.transpose())
             for i in range(m.rows)).bit_length() + 2
     z = _subset_sums(n, (1 << w * c for c in range(1 << n)))
-    zat = _subset_sums(n, (sum(v << w * c for c, v in at.pairs(i))
-                           for i in range(at.rows)))
+    zat = _subset_sums(n, _packed(at, w))
     return all(sum(v * z[order[c]] for c, v in a.pairs(i)) == zat[s]
                for i, s in enumerate(order))
 

@@ -1,9 +1,11 @@
 import copy
 import pickle
 import random
+import typing
 
 import pytest
 
+import smithcube
 from smithcube.bigmat import (IntMatrix, InvariantFactors, assemble,
                               from_text, snf, to_text, two_adic_counts,
                               valuation)
@@ -166,6 +168,20 @@ def test_constructors_and_errors():
     for args in (([[1]],), (1, 1, ((),))):
         with pytest.raises(TypeError, match="from_rows"):
             IntMatrix(*args)
+
+
+def test_annotations_resolve():
+    # every name an annotation uses is bound in its module
+    for name in smithcube.__all__:
+        value = getattr(smithcube, name)
+        if callable(value):
+            typing.get_type_hints(value)
+    for name, value in vars(IntMatrix).items():
+        value = getattr(value, "__func__", value)
+        if callable(value):
+            typing.get_type_hints(value)
+    hints = typing.get_type_hints(IntMatrix.from_rows)
+    assert hints["return"] is IntMatrix
 
 
 def test_block_diag_and_submatrix():

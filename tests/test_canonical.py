@@ -1,7 +1,9 @@
+import json
 from math import comb
 
 import pytest
 
+from smithcube import canonical, cli
 from smithcube.bigmat import IntMatrix, snf
 from smithcube.canonical import (build_E, build_E_jk, verify_bier,
                                  wilson_diagonal, wilson_form)
@@ -97,17 +99,110 @@ def test_wilson_bounds():
 
 
 def test_verify_bier_examples():
-    assert verify_bier(4, 1, 2)
     for n in (4, 6, 9):
-        for t in range(n // 2 + 1):
-            assert verify_bier(n, t, t)
+        assert verify_bier(n) == [], n
 
 
 def test_verify_bier_sweep():
-    for n in range(2, 9):
-        for k in range(n // 2 + 1):
-            for t in range(k + 1):
-                assert verify_bier(n, t, k), (n, t, k)
+    # every pair t <= k <= n/2
+    for n in range(1, 9):
+        assert verify_bier(n) == [], n
+
+
+def _bier_by_products(n):
+    """The failing pairs [t, k] by the two sparse products E_t W_{t,k} and
+    D_{t,k} E_k, with E built afresh from the current inclusion matrices."""
+    def basis(k):
+        return build_E.__wrapped__(n, k)
+    return [[t, k] for k in range(n // 2 + 1) for t in range(k + 1)
+            if basis(t) @ canonical.incidence_matrix(n, t, k)
+            != wilson_form(n, t, k) @ basis(k)]
+
+
+@pytest.mark.parametrize("index", [0, 7, -1])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_verify_bier_names_the_pair_of_a_changed_wilson_entry(
+        capsys, monkeypatch, delta, index):
+    exact = canonical.wilson_diagonal
+
+    def changed(n, t, k):
+        d = list(exact(n, t, k))
+        if (t, k) == (2, 4):
+            d[index] += delta
+        return tuple(d)
+    monkeypatch.setattr(canonical, "wilson_diagonal", changed)
+    assert verify_bier(10) == [[2, 4]]
+    assert cli.main(["verify", "bier", "10"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "mismatch"
+    assert report["payload"] == {"checked_up_to": 5, "failures": [[2, 4]]}
+
+
+def test_verify_bier_lists_a_pair_whose_diagonal_has_the_wrong_length(monkeypatch):
+    # pairing rows with a short diagonal would drop the last row unchecked
+    exact = canonical.wilson_diagonal
+    monkeypatch.setattr(canonical, "wilson_diagonal", lambda n, t, k:
+                        exact(n, t, k)[:-1] if (t, k) == (1, 3) else exact(n, t, k))
+    assert verify_bier(8) == [[1, 3]]
+
+
+# {1,2,3} is not of full rank, so only W_{3,4}'s own pair reads its row;
+# {2,4,6} is, so the row is also a row of E_4, and pair (4, 5) fails too
+# (pair (4, 4) still holds: both of its sides change alike)
+@pytest.mark.parametrize("subset, failures", [
+    (0b111, [[3, 4]]),
+    (0b101010, [[3, 4], [4, 5]]),
+], ids=["rank-deficient-row", "full-rank-row"])
+@pytest.mark.parametrize("value", [2, -2, 2 ** 40])
+def test_verify_bier_sees_one_changed_inclusion_entry(
+        capsys, monkeypatch, subset, failures, value):
+    # the slot width follows the entries: a value that is not 0 or 1, or a
+    # huge one, widens every slot instead of spilling into its neighbour
+    exact = canonical.incidence_matrix
+    row = enumerate_subsets(10, 3).index(subset)
+
+    def changed(n, t, k):
+        w = exact(n, t, k)
+        if (t, k) != (3, 4):
+            return w
+        rows = [dict(w.pairs(i)) for i in range(w.rows)]
+        rows[row][min(rows[row])] = value
+        return IntMatrix.from_rows(rows, w.cols)
+    monkeypatch.setattr(canonical, "incidence_matrix", changed)
+    assert verify_bier(10) == failures == _bier_by_products(10)
+    assert cli.main(["verify", "bier", "10"]) == 2
+    assert json.loads(capsys.readouterr().out)["payload"]["failures"] == failures
+
+
+def test_verify_bier_slot_width_follows_the_entries(monkeypatch):
+    # row {1,2} of W_{2,3} at n = 6 gets 2^e added in column {1,2,3} and 1
+    # taken from column {1,2,4}; at a slot width of e bits the two changes
+    # cancel, so only a width that follows the real entries sees each one
+    exact = canonical.incidence_matrix
+
+    def changed(e):
+        def build(n, t, k):
+            w = exact(n, t, k)
+            if (t, k) != (2, 3):
+                return w
+            rows = [dict(w.pairs(i)) for i in range(w.rows)]
+            rows[0][0] += 2 ** e
+            rows[0][1] -= 1
+            return IntMatrix.from_rows(rows, w.cols)
+        return build
+    for e in range(1, 40):
+        monkeypatch.setattr(canonical, "incidence_matrix", changed(e))
+        assert verify_bier(6) == [[2, 3]], e
+
+
+def test_verify_bier_refuses_before_any_matrix(capsys, monkeypatch):
+    def no_build(n, t, k):
+        raise AssertionError(f"W({n}, {t}, {k}) was started")
+    monkeypatch.setattr(canonical, "incidence_matrix", no_build)
+    assert cli.main(["verify", "bier", "30"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: a side of C(30, 15) subsets exceeds the size cap 2^14 = 16384\n")
 
 
 def test_snf_of_inclusion_matches_wilson_diagonal():

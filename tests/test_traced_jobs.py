@@ -33,4 +33,6 @@ def test_traced_jobs_match_the_cli(tmp_path, capsys):
         assert cli.main(list(argv)) == 0
         assert _strip_elapsed(job.stdout) == _strip_elapsed(capsys.readouterr().out), argv
         spans.update(name for name, *_ in json.loads(meta.read_text())["spans"])
-    assert {"bigmat.eq", "bigmat.matmul"} <= spans
+    # no command multiplies two matrices, so bigmat.matmul is not a span;
+    # both names are INTMATRIX_METHODS entries, so a dropped method fails here
+    assert {"bigmat.eq", "bigmat.transpose"} <= spans
