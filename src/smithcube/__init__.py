@@ -1,8 +1,7 @@
 """Smith group of the n-cube graph, computed three independent ways."""
 
 from .bigmat import IntMatrix, InvariantFactors, from_text, snf, to_text
-from .canonical import (build_E, build_E_jk, verify_bier, wilson_diagonal,
-                        wilson_form)
+from .canonical import build_E, verify_bier, wilson_diagonal, wilson_form
 from .cube import (BlockPair, adjacency, blocks, laplacian, monomial_adjacency,
                    verify_conjugacy, verify_half_lemma)
 from .reduction import (CondensedMatrix, SmithGroupSummary, build_B,

@@ -7,7 +7,6 @@ share between threads.
 """
 from __future__ import annotations
 
-from itertools import accumulate
 from math import gcd
 from operator import itemgetter
 
@@ -15,6 +14,11 @@ from operator import itemgetter
 # so the annotations resolve without importing collections.abc or typing
 from _collections_abc import Iterable, Sequence
 
+
+# no matrix side exceeds 2^SIZE_CAP: the cube matrices (side 2^n) refuse n
+# above SIZE_CAP, a subset-indexed matrix refuses a side C(n, k) above
+# 2^SIZE_CAP, and `from_text` refuses a header side above 2^SIZE_CAP
+SIZE_CAP = 14
 
 _PLAIN_INT = frozenset({int})
 
@@ -248,38 +252,6 @@ class IntMatrix(_Record):
         return sign * a[n - 1][n - 1]
 
 
-def assemble(row_sizes: Sequence[int], col_sizes: Sequence[int],
-             block) -> IntMatrix:
-    """Block matrix with the given block row and block column sizes.
-
-    `block(i, j)` gives block (i, j): an IntMatrix of that block's shape, an
-    int c standing for c * I on a square block, or None for a zero block.
-    Each block is placed as soon as it is made, so no two need to be held
-    at once.
-    """
-    row_off = [0, *accumulate(row_sizes)]
-    col_off = [0, *accumulate(col_sizes)]
-    data: list = [{} for _ in range(row_off[-1])]
-    for i, h in enumerate(row_sizes):
-        for j, w in enumerate(col_sizes):
-            b = block(i, j)
-            if b is None:
-                continue
-            r0, c0 = row_off[i], col_off[j]
-            if isinstance(b, IntMatrix):
-                if (b.rows, b.cols) != (h, w):
-                    raise ValueError(f"block ({i}, {j}) is {b.rows}x{b.cols}, "
-                                     f"expected {h}x{w}")
-                for r, row in enumerate(b._data):
-                    data[r0 + r].update((c0 + c, v) for c, v in row)
-            elif h != w:
-                raise ValueError(f"scalar block ({i}, {j}) is not square: {h}x{w}")
-            else:
-                for r in range(h):
-                    data[r0 + r][c0 + r] = b
-    return IntMatrix.from_rows(data, col_off[-1])
-
-
 # -- invariant factors and elementary divisors ----------------------------
 
 
@@ -485,6 +457,17 @@ def to_text(m: IntMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(line: str, count: int) -> list:
+    """The `count` ints of one line of the sparse-triple format."""
+    try:
+        values = [int(w) for w in line.split()]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ValueError(f"expected {count} integers, got line {line.strip()!r}")
+    return values
+
+
 def from_text(text: str) -> IntMatrix:
     """Parse the sparse-triple format; exact inverse of :func:`to_text`.
 
@@ -493,16 +476,16 @@ def from_text(text: str) -> IntMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
-    rows, cols = map(int, lines[0].split())
-    if rows < 0 or cols < 0:
-        raise ValueError("negative dimensions in header")
+    rows, cols = _ints(lines[0], 2)
+    if not (0 <= rows <= 1 << SIZE_CAP and 0 <= cols <= 1 << SIZE_CAP):
+        raise ValueError(f"header {rows} {cols}: each side must lie in 0..2^"
+                         f"{SIZE_CAP} = {1 << SIZE_CAP}")
     data: list = [{} for _ in range(rows)]
     terminated = False
     for ln in lines[1:]:
         if terminated:
             raise ValueError(f"line after the 0 0 0 terminator: {ln.strip()!r}")
-        i, j, v = ln.split()
-        i, j, v = int(i), int(j), int(v)
+        i, j, v = _ints(ln, 3)
         if (i, j, v) == (0, 0, 0):
             terminated = True
             continue

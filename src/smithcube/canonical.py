@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .bigmat import IntMatrix, _packed, assemble
+from .bigmat import IntMatrix, _packed
 from .subsets import (_check_side, count_full_rank, enumerate_subsets,
                       has_full_rank, incidence_matrix)
 
@@ -40,24 +40,15 @@ def wilson_diagonal(n: int, t: int, k: int) -> tuple:
                  for _ in range(count_full_rank(n, j)))
 
 
-def build_E_jk(n: int, j: int, k: int) -> IntMatrix:
-    """Rows of the (j,k) inclusion matrix restricted to full-rank j-subsets."""
-    if not 0 <= j <= k:
-        raise ValueError(f"need 0 <= j <= k, got j={j}, k={k}")
-    _check_half(n, k)
-    w = incidence_matrix(n, j, k)
-    keep = [i for i, s in enumerate(enumerate_subsets(n, j)) if has_full_rank(s)]
-    return w.submatrix(keep, range(w.cols))
-
-
 @lru_cache(maxsize=None)
 def build_E(n: int, k: int) -> IntMatrix:
-    """The canonical basis matrix: stacked full-rank blocks, j = 0..k."""
+    """The canonical basis matrix: for j = 0..k, the rows of W_{j,k}
+    labeled by full-rank j-subsets."""
     _check_half(n, k)
-    matrix = assemble([count_full_rank(n, j) for j in range(k + 1)], [comb(n, k)],
-                      lambda j, _: build_E_jk(n, j, k))
-    assert matrix.rows == matrix.cols
-    return matrix
+    return IntMatrix.from_rows(
+        (dict(w.pairs(i)) for j in range(k + 1) for w in (incidence_matrix(n, j, k),)
+         for i, s in enumerate(enumerate_subsets(n, j)) if has_full_rank(s)),
+        comb(n, k))
 
 
 def wilson_form(n: int, t: int, k: int) -> IntMatrix:

@@ -29,7 +29,7 @@ def _canonical_json(obj) -> str:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         try:
             with open(out, "w") as fh:
                 fh.write(text)

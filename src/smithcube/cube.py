@@ -12,8 +12,8 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import comb
 
-from .bigmat import IntMatrix, _Record, _packed, assemble
-from .subsets import SIZE_CAP, incidence_matrix
+from .bigmat import SIZE_CAP, IntMatrix, _Record, _packed
+from .subsets import incidence_matrix
 
 
 def _check_n(n: int) -> None:
@@ -105,14 +105,22 @@ def graded_blocks(n: int, row_sizes, col_sizes, up) -> IntMatrix:
     The block from size i to size i is (n - 2i) I, the block from size i to
     size i+1 is up(i), and every other block is zero.
     """
-    def block(a, b):
-        i, j = row_sizes[a], col_sizes[b]
-        if j == i:
-            return n - 2 * i
-        return up(i) if j == i + 1 else None
+    ends = list(accumulate((comb(n, j) for j in col_sizes), initial=0))
+    start = dict(zip(col_sizes, ends))
 
-    return assemble([comb(n, i) for i in row_sizes],
-                    [comb(n, j) for j in col_sizes], block)
+    def rows():
+        for i in row_sizes:
+            h, w, diagonal = comb(n, i), comb(n, i + 1), start.get(i)
+            b = up(i) if i + 1 in start else None
+            if b is not None and (b.rows, b.cols) != (h, w):
+                raise ValueError(f"up({i}) is {b.rows}x{b.cols}, expected {h}x{w}")
+            for r in range(h):
+                row = {} if b is None else {start[i + 1] + c: v for c, v in b.pairs(r)}
+                if diagonal is not None:
+                    row[diagonal + r] = n - 2 * i
+                yield row
+
+    return IntMatrix.from_rows(rows(), ends[-1])
 
 
 def blocks(n: int) -> BlockPair:

@@ -10,13 +10,14 @@ size copies of the same shadow, scaled by 2.  Recursing yields the complete
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb, isqrt
 
-from .bigmat import IntMatrix, _Record, assemble, snf, two_adic_counts, valuation
+from .bigmat import SIZE_CAP, IntMatrix, _Record, snf, two_adic_counts, valuation
 from .canonical import _check_half, build_E, wilson_form
 from .cube import (_check_n, _require_even, adjacency, graded_blocks,
                    laplacian, vertex_order)
-from .subsets import SIZE_CAP, count_full_rank
+from .subsets import count_full_rank
 
 
 def _binomial_row(n: int, k: int) -> list:
@@ -33,13 +34,13 @@ def _binomial_row(n: int, k: int) -> list:
 def stacked_basis(n: int, k: int) -> IntMatrix:
     """Block-diagonal sum of the canonical basis matrices for sizes 0..k."""
     _check_half(n, k)
-    side = sum(comb(n, j) for j in range(k + 1))
-    if side > 1 << SIZE_CAP:
-        raise ValueError(f"Estack({n}, {k}) has side {side}, above the size "
+    ends = list(accumulate((comb(n, j) for j in range(k + 1)), initial=0))
+    if ends[-1] > 1 << SIZE_CAP:
+        raise ValueError(f"Estack({n}, {k}) has side {ends[-1]}, above the size "
                          f"cap 2^{SIZE_CAP} = {1 << SIZE_CAP}")
-    Es = [build_E(n, j) for j in range(k + 1)]
-    return assemble([E.rows for E in Es], [E.cols for E in Es],
-                    lambda i, j: Es[i] if i == j else None)
+    return IntMatrix.from_rows(
+        ({c0 + c: v for c, v in e.pairs(r)} for j, c0 in enumerate(ends[:-1])
+         for e in (build_E(n, j),) for r in range(e.rows)), ends[-1])
 
 
 def build_B(n: int) -> IntMatrix:

@@ -12,13 +12,10 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .bigmat import IntMatrix
+from .bigmat import SIZE_CAP, IntMatrix
 
-# no matrix side exceeds 2^SIZE_CAP: the cube matrices (side 2^n) refuse n
-# above SIZE_CAP, and a subset-indexed matrix refuses a side C(n, k) above
-# 2^SIZE_CAP; an inclusion matrix also refuses more nonzeros than 3^SIZE_CAP,
-# the number of pairs I within S of subsets of {1..SIZE_CAP}
-SIZE_CAP = 14
+# an inclusion matrix refuses more nonzeros than 3^SIZE_CAP, the number of
+# pairs I within S of subsets of {1..SIZE_CAP}
 NONZERO_CAP = 3 ** SIZE_CAP
 
 

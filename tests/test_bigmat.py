@@ -1,14 +1,14 @@
 import copy
 import pickle
 import random
+import tracemalloc
 import typing
 
 import pytest
 
 import smithcube
-from smithcube.bigmat import (IntMatrix, InvariantFactors, assemble,
-                              from_text, snf, to_text, two_adic_counts,
-                              valuation)
+from smithcube.bigmat import (SIZE_CAP, IntMatrix, InvariantFactors, from_text,
+                              snf, to_text, two_adic_counts, valuation)
 from smithcube.cube import adjacency, blocks, laplacian
 from smithcube.reduction import (_factor_small, build_condensed,
                                  laplacian_partial_check, reduce_condensed,
@@ -185,26 +185,12 @@ def test_annotations_resolve():
 
 
 def test_block_diag_and_submatrix():
-    a = from_grid([[1, 2]])
     b = from_grid([[3], [4]])
-    bd = assemble([1, 2], [2, 1], lambda i, j: (a, b)[i] if i == j else None)
+    bd = IntMatrix.from_rows([{0: 1, 1: 2}, {2: 3}, {2: 4}], 3)
     assert bd == from_grid([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
     assert bd.submatrix([1, 2], [2]) == b
     with pytest.raises(IndexError):
         bd.submatrix([3], [0])
-
-
-def test_assemble_places_blocks_and_rejects_wrong_shape():
-    w = from_grid([[1, 2, 3]])
-    placed = {(0, 1): w, (1, 0): 5}
-    m = assemble([1, 2], [2, 3], lambda i, j: placed.get((i, j)))
-    assert m == from_grid([[0, 0, 1, 2, 3],
-                           [5, 0, 0, 0, 0],
-                           [0, 5, 0, 0, 0]])
-    with pytest.raises(ValueError, match=r"^block \(0, 1\) is 1x3, expected 2x3$"):
-        assemble([2], [1, 3], lambda i, j: w if j == 1 else None)
-    with pytest.raises(ValueError, match="not square"):
-        assemble([1, 2], [2, 3], lambda i, j: 5 if (i, j) == (0, 1) else None)
 
 
 def test_immutability():
@@ -247,6 +233,35 @@ def test_text_parse_errors():
     with pytest.raises(ValueError, match="after the 0 0 0 terminator"):
         from_text("2 2\n0 0 0\n\n0 0 0\n")
     assert from_text("2 2\n1 1 5\n0 0 0\n\n  \n") == from_grid([[5, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("text, count, line", [
+    ("2\n0 0 0\n", 2, "2"), ("2 2 2\n0 0 0\n", 2, "2 2 2"),
+    ("2 x\n0 0 0\n", 2, "2 x"), ("2 2\n1 1\n0 0 0\n", 3, "1 1"),
+    ("2 2\n1 1 1 1\n0 0 0\n", 3, "1 1 1 1"), ("2 2\n1 1 1.5\n0 0 0\n", 3, "1 1 1.5"),
+])
+def test_text_parse_names_a_line_of_the_wrong_shape(text, count, line):
+    with pytest.raises(ValueError) as err:
+        from_text(text)
+    assert str(err.value) == f"expected {count} integers, got line {line!r}"
+
+
+def test_text_header_side_is_capped_before_allocation():
+    side = 1 << SIZE_CAP
+    assert from_text(f"{side} 1\n{side} 1 7\n0 0 0\n").rows == side
+    assert from_text(f"1 {side}\n1 {side} 7\n0 0 0\n").cols == side
+    for header in (f"{side + 1} 1", f"1 {side + 1}", "-1 2", "2 -1"):
+        with pytest.raises(ValueError, match=f"^header {header}: each side must lie in"):
+            from_text(f"{header}\n0 0 0\n")
+    # a header of 10^11 rows would need terabytes of row dicts
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^header 100000000000 1: "):
+            from_text("100000000000 1\n0 0 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _random_matrix(rng, rows, cols, lo=-6, hi=6):

@@ -5,21 +5,12 @@ import pytest
 
 from smithcube import canonical, cli
 from smithcube.bigmat import IntMatrix, snf
-from smithcube.canonical import (build_E, build_E_jk, verify_bier,
-                                 wilson_diagonal, wilson_form)
+from smithcube.canonical import (build_E, verify_bier, wilson_diagonal,
+                                 wilson_form)
 from smithcube.subsets import (count_full_rank, enumerate_subsets,
                                has_full_rank, incidence_matrix)
 
 from grids import from_grid
-
-
-def test_E_jk_fixtures_n4():
-    assert build_E_jk(4, 0, 2) == from_grid([[1, 1, 1, 1, 1, 1]])
-    assert build_E_jk(4, 1, 2) == from_grid([[1, 0, 1, 0, 1, 0],
-                                             [0, 1, 1, 0, 0, 1],
-                                             [0, 0, 0, 1, 1, 1]])
-    assert build_E_jk(4, 2, 2) == from_grid([[0, 0, 0, 0, 1, 0],
-                                             [0, 0, 0, 0, 0, 1]])
 
 
 def test_E_fixture_n4_k1():
@@ -50,10 +41,10 @@ def test_E_k0_identity():
 def test_E_bounds():
     with pytest.raises(ValueError):
         build_E(4, 3)
+    with pytest.raises(ValueError, match="exceeds the size cap"):
+        build_E(30, 15)
     with pytest.raises(ValueError):
-        build_E_jk(5, 1, 3)
-    with pytest.raises(ValueError):
-        build_E_jk(4, 2, 1)
+        build_E(4, -1)
 
 
 def test_E_unimodular():
@@ -63,14 +54,23 @@ def test_E_unimodular():
 
 
 def test_row_label_partition_telescopes():
-    for n in range(2, 11):
+    for n in range(11):
         for k in range(n // 2 + 1):
             sizes = [count_full_rank(n, j) for j in range(k + 1)]
             assert sum(sizes) == comb(n, k)
             e = build_E(n, k)
             assert (e.rows, e.cols) == (comb(n, k), comb(n, k))
+            # level j of E_k is the block of rows of the full-rank j-subsets,
+            # each the row of W_{j,k} that the subset labels
+            start = 0
             for j in range(k + 1):
-                assert build_E_jk(n, j, k).rows == sizes[j]
+                w = incidence_matrix(n, j, k)
+                full = [i for i, s in enumerate(enumerate_subsets(n, j))
+                        if has_full_rank(s)]
+                assert len(full) == sizes[j]
+                level = e.submatrix(range(start, start + sizes[j]), range(e.cols))
+                assert level == w.submatrix(full, range(w.cols)), (n, j, k)
+                start += sizes[j]
 
 
 def test_wilson_form_fixtures():

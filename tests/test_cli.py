@@ -20,8 +20,8 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# SHA-256 of `smithcube matrix ARGS` for every matrix kind, recorded from the
-# per-matrix constructions that preceded the shared block assembler
+# SHA-256 of `smithcube matrix ARGS` for every matrix kind, recorded from
+# earlier constructions, so a rewritten builder must keep every byte
 MATRIX_SHA256 = {
     "adjacency 8":
         "79e75e68facc15ad58fec6f30c8bfaf99324777f16d04fe21153eac05b626a28",
@@ -310,12 +310,14 @@ def test_oversized_reduction_refused_before_the_shadow(capsys, monkeypatch):
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "no-such-dir" / "x")
-    for argv in (("smith-group", "4"), ("verify", "half", "4"),
-                 ("matrix", "W", "4", "1", "2")):
-        code, out, err = run(capsys, *argv, "--out", missing)
-        assert code == 1, argv
+    # an empty path is a path too, not a request for stdout
+    for path, argv in product((missing, ""), (
+            ("smith-group", "4"), ("verify", "half", "4"),
+            ("matrix", "W", "4", "1", "2"))):
+        code, out, err = run(capsys, *argv, "--out", path)
+        assert code == 1, (path, argv)
         assert out == ""
-        assert err.startswith(f"error: cannot write {missing}: ")
+        assert err.startswith(f"error: cannot write {path}: ")
         assert len(err.splitlines()) == 1
 
 

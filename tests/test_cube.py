@@ -6,8 +6,8 @@ import pytest
 
 from smithcube import cli, cube
 from smithcube.bigmat import IntMatrix, snf
-from smithcube.cube import (BlockPair, adjacency, blocks, laplacian,
-                            monomial_adjacency, verify_conjugacy,
+from smithcube.cube import (BlockPair, adjacency, blocks, graded_blocks,
+                            laplacian, monomial_adjacency, verify_conjugacy,
                             verify_half_lemma, vertex_order)
 from smithcube.reduction import build_B, smith_group_reduction
 from smithcube.subsets import incidence_matrix
@@ -119,6 +119,30 @@ def test_conjugacy_fails_on_one_changed_entry(capsys, monkeypatch, builder,
     assert verify_conjugacy(4) is False
     assert cli.main(["verify", "conjugacy", "4"]) == 2
     assert json.loads(capsys.readouterr().out)["status"] == "mismatch"
+
+
+def test_graded_blocks_places_blocks_and_rejects_wrong_shape():
+    ups = {0: from_grid([[1, 2, 3]]), 1: from_grid([[4, 0, 0], [0, 5, 0], [0, 0, 6]])}
+    # (3 - 2i) I on each size i that is also a column size, up(i) one size on
+    assert graded_blocks(3, [0, 1], [0, 1, 2], ups.__getitem__) == from_grid(
+        [[3, 1, 2, 3, 0, 0, 0],
+         [0, 1, 0, 0, 4, 0, 0],
+         [0, 0, 1, 0, 0, 5, 0],
+         [0, 0, 0, 1, 0, 0, 6]])
+    # size 0 is no column size: its row holds up(0) alone, as N's first does
+    assert graded_blocks(3, [0, 1], [1, 2], ups.__getitem__) == from_grid(
+        [[1, 2, 3, 0, 0, 0],
+         [1, 0, 0, 4, 0, 0],
+         [0, 1, 0, 0, 5, 0],
+         [0, 0, 1, 0, 0, 6]])
+    # size 2 is no column size, so up(1) is never asked for; n - 2i = 0
+    # stores nothing
+    def never(i):
+        raise AssertionError(f"up({i}) was asked for")
+    assert graded_blocks(3, [1], [1], never) == IntMatrix.identity(3)
+    assert graded_blocks(2, [1], [1], never) == IntMatrix.zeros(2, 2)
+    with pytest.raises(ValueError, match=r"^up\(0\) is 3x3, expected 1x3$"):
+        graded_blocks(3, [0], [0, 1], lambda i: ups[1])
 
 
 def test_blocks_match_display_n4():

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smithcube.bigmat import (IntMatrix, _divisibility_chain, assemble,
-                              from_text, snf, to_text, two_adic_counts,
-                              valuation)
+from smithcube.bigmat import (IntMatrix, _divisibility_chain, from_text, snf,
+                              to_text, two_adic_counts, valuation)
 from smithcube.reduction import (_binomial_row, _positional_merge,
                                  invariant_factor_rle)
 
@@ -171,8 +170,9 @@ def test_snf_of_bipartite_matrix_doubles_snf_of_its_block(b):
     # [[0, B], [B^t, 0]] is B plus B^t up to a permutation, and B^t has the
     # invariant factors of B: the halving `smith_group_oracle` rests on
     r, c = b.rows, b.cols
-    full = assemble([r, c], [r, c], lambda i, j: None if i == j
-                    else b if i < j else b.transpose())
+    bt = b.transpose()
+    full = IntMatrix.from_rows([{r + j: v for j, v in b.pairs(i)} for i in range(r)]
+                               + [dict(bt.pairs(j)) for j in range(c)], r + c)
     half = snf(b)
     inv = snf(full)
     assert inv.factors == tuple(d for d in half.factors for _ in (0, 1))

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from smithcube import cli, reduction
+from smithcube import bigmat, canonical, cli, cube, reduction, subsets
 from smithcube.bigmat import IntMatrix, snf, valuation
 from smithcube.canonical import wilson_form
 from smithcube.cube import adjacency, blocks
@@ -402,6 +402,48 @@ def test_closed_form_row_does_not_reach_the_eigen_side(monkeypatch, capsys, cap)
     monkeypatch.setattr(reduction, "_binomial_row", poisoned)
     assert cli.main(["smith-group", "12", "--method", "all", *cap]) == 2
     assert '"status":"mismatch"' in capsys.readouterr().out
+
+
+# what every route may use: the basics of the exact integer layer, the
+# immutable record base and the summary each route returns; no route's
+# helper list may name one of these
+SHARED = frozenset({"IntMatrix", "_check_entries", "_pairs", "valuation",
+                    "_Record", "SmithGroupSummary"})
+
+# each route's entry point and the private helpers that only it may call
+ROUTES = {
+    "closed": (smith_group, ("_binomial_row",)),
+    "reduction": (smith_group_reduction,
+                  ("build_condensed", "reduce_condensed", "eigenvalue_diagonal",
+                   "_valuation_tables", "_factor_small", "_positional_merge")),
+    "oracle": (smith_group_oracle, ("adjacency", "snf", "_eliminate")),
+}
+
+
+@pytest.mark.parametrize("route, n", [("closed", 8), ("closed", 12),
+                                      ("reduction", 8), ("reduction", 12),
+                                      ("oracle", 8)])
+def test_each_route_answers_without_the_helpers_of_the_others(monkeypatch, route, n):
+    # while one route runs, every helper of the other two raises in each
+    # module that holds it, so no route can lean on work it is checked against
+    expected = smith_group(n)
+    entry, own = ROUTES[route]
+    others = {name for r, (_, names) in ROUTES.items() if r != route
+              for name in names}
+    assert not (others | set(own)) & SHARED
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the {route} route called {name}")
+        return call
+    modules = (bigmat, subsets, canonical, cube, reduction)
+    assert all(any(name in vars(m) for m in modules) for name in others)
+    with monkeypatch.context() as patch:
+        for module in modules:
+            for name in others & set(vars(module)):
+                patch.setattr(module, name, refuse(name))
+        summary = entry(n)
+    assert same_group(summary, expected)
 
 
 def test_laplacian_partial():
