@@ -457,10 +457,18 @@ def to_text(m: IntMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ints(line: str, count: int) -> list:
-    """The `count` ints of one line of the sparse-triple format."""
+def _ints(line: str, count: int, plain: bool) -> list:
+    """The `count` ints of one line of the sparse-triple format, each
+    written as to_text writes it: -?[0-9]+.  int() also reads `+1`, `1_0`
+    and non-ASCII digits; `plain` says the whole text is ASCII without `_`
+    or `+`, and only the lines of a text that is not are checked word by
+    word."""
+    words = line.split()
+    if not plain and not all(w.isascii() and w.removeprefix("-").isdigit()
+                             for w in words):
+        words = []
     try:
-        values = [int(w) for w in line.split()]
+        values = [int(w) for w in words]
     except ValueError:
         values = []
     if len(values) != count:
@@ -476,7 +484,8 @@ def from_text(text: str) -> IntMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
-    rows, cols = _ints(lines[0], 2)
+    plain = text.isascii() and "_" not in text and "+" not in text
+    rows, cols = _ints(lines[0], 2, plain)
     if not (0 <= rows <= 1 << SIZE_CAP and 0 <= cols <= 1 << SIZE_CAP):
         raise ValueError(f"header {rows} {cols}: each side must lie in 0..2^"
                          f"{SIZE_CAP} = {1 << SIZE_CAP}")
@@ -485,7 +494,7 @@ def from_text(text: str) -> IntMatrix:
     for ln in lines[1:]:
         if terminated:
             raise ValueError(f"line after the 0 0 0 terminator: {ln.strip()!r}")
-        i, j, v = _ints(ln, 3)
+        i, j, v = _ints(ln, 3, plain)
         if (i, j, v) == (0, 0, 0):
             terminated = True
             continue

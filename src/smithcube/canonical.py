@@ -9,9 +9,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .bigmat import IntMatrix, _packed
-from .subsets import (_check_side, count_full_rank, enumerate_subsets,
-                      has_full_rank, incidence_matrix)
+from .bigmat import SIZE_CAP, IntMatrix, _packed
+from .subsets import (NONZERO_CAP, _check_side, count_full_rank,
+                      enumerate_subsets, has_full_rank, incidence_matrix)
 
 
 def _check_half(n: int, k: int) -> None:
@@ -74,16 +74,23 @@ def verify_bier(n: int) -> list:
     The rows of E_k up to C(n, t) are its blocks j <= t, so the same row of
     the right side is d_J * W_{j,k}[J], with d_J J's entry of
     wilson_diagonal(n, t, k); a diagonal whose length is not E_t's row
-    count fails the pair.  Each W_{a,b}, a <= b <= n/2, is built once,
-    and for each k the rows of every W_{a,k} are packed into ints at one
-    slot width.  An entry of the left side is at most the largest absolute
-    row sum of W_{j,t} times the largest |W_{t,k}|, one of the right side
-    at most the largest |d| times the largest |W_{j,k}|; the width is two
-    bits wider than their largest sum over all (j, t, k), so no slot of the
-    difference reaches its range and equal packed rows have equal entries.
+    count fails the pair.  Each W_{a,b}, a <= b <= n/2, is built once and
+    all are held at once, so their nonzeros, sum_b C(n, b) 2^b in all, are
+    held to the cap of one W.  For each k the rows of every W_{a,k} are
+    packed into ints at one slot width.  An entry of the left side is at
+    most the largest absolute row sum of W_{j,t} times the largest
+    |W_{t,k}|, one of the right side at most the largest |d| times the
+    largest |W_{j,k}|; the width is two bits wider than their largest sum
+    over all (j, t, k), so no slot of the difference reaches its range and
+    equal packed rows have equal entries.
     """
     half = n // 2
     _check_half(n, half)  # refuse before any matrix is built
+    total = sum(comb(n, b) << b for b in range(half + 1))
+    if total > NONZERO_CAP:
+        raise ValueError(f"the W({n}, a, b), a <= b <= {half}, have {total} "
+                         f"nonzeros in all, above the cap 3^{SIZE_CAP} = "
+                         f"{NONZERO_CAP}")
     w = {(a, b): incidence_matrix(n, a, b) for b in range(half + 1)
          for a in range(b + 1)}
     d = {pair: wilson_diagonal(n, *pair) for pair in w}

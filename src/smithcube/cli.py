@@ -39,35 +39,45 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _summary_entries(summary) -> list:
-    return [{"multiplicity": summary.nonzero[k], "value": k}
-            for k in sorted(summary.nonzero)]
+def _summary(summary) -> dict:
+    return {"entries": [{"multiplicity": summary.nonzero[k], "value": k}
+                        for k in sorted(summary.nonzero)],
+            "free_rank": summary.free_rank}
 
 
-def _emit_report(report: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _write(_canonical_json(report) + "\n", out)
-    elif fmt == "csv" and "entries" not in report:
-        _write(f"command,status\n{report['command']},{report['status']}\n", out)
-    elif fmt == "csv":
-        lines = ["value,multiplicity", f"0,{report.get('free_rank', 0)}"]
-        for e in report["entries"]:
-            lines.append(f"{e['value']},{e['multiplicity']}")
-        _write("\n".join(lines) + "\n", out)
+def _finish(args, command: str, params: dict, ok: bool, t0: float,
+            fields: dict) -> int:
+    """Write the report of a smith-group or verify run in args.format and
+    return its exit code, 0 if ok and 2 on a mismatch."""
+    status = "ok" if ok else "mismatch"
+    report = {"command": command, "params": params, "status": status,
+              "elapsed_ms": int((time.monotonic() - t0) * 1000), **fields}
+    if args.format == "json":
+        lines = [_canonical_json(report)]
+    elif args.format == "csv" and "entries" not in report:
+        lines = ["command,status", f"{command},{status}"]
+    elif args.format == "csv":
+        lines = ["value,multiplicity", f"0,{report['free_rank']}",
+                 *(f"{e['value']},{e['multiplicity']}" for e in report["entries"])]
     else:
-        lines = [f"command {report['command']}", f"status {report['status']}"]
-        if "free_rank" in report:
-            lines.append(f"free_rank {report['free_rank']}")
-        for e in report.get("entries", []):
-            lines.append(f"{e['value']} {e['multiplicity']}")
-        if report.get("payload"):
+        lines = [f"command {command}", f"status {status}"]
+        if "entries" in report:
+            lines += [f"free_rank {report['free_rank']}",
+                      *(f"{e['value']} {e['multiplicity']}"
+                        for e in report["entries"])]
+        if "payload" in report:
             lines.append(_canonical_json(report["payload"]))
-        _write("\n".join(lines) + "\n", out)
+    _write("\n".join(lines) + "\n", args.out)
+    return 0 if ok else 2
+
+
+# route -> the name of its function in `reduction`, looked up when called
+_ROUTES = {"closed": "smith_group", "reduction": "smith_group_reduction",
+           "oracle": "smith_group_oracle"}
 
 
 def _cmd_smith_group(args) -> int:
-    n = args.n
-    cap = args.cap
+    n, cap, method = args.n, args.cap, args.method
     # every printed integer is below 2^n, so it has at most
     # floor(n log10 2) + 1 digits, more than the interpreter converts to
     # text exactly when n >= limit * log2 10 (no limit: 0, or before 3.10.7)
@@ -76,44 +86,21 @@ def _cmd_smith_group(args) -> int:
         raise ValueError(f"n = {n} may print integers of more than {limit} "
                          "digits, the interpreter's limit for integer "
                          "string conversion")
+    if method == "oracle" and n > cap:
+        raise ValueError(f"oracle method limited to n <= {cap}")
+    if method == "all" and n % 2 and n > cap:
+        raise ValueError(f"odd n = {n} is above the oracle cap {cap}, "
+                         "so no route checks the closed form")
+    routes = [method] if method != "all" else (
+        ["closed"] + ["reduction"] * (n % 2 == 0) + ["oracle"] * (n <= cap))
     t0 = time.monotonic()
-    if args.method == "closed":
-        summaries = {"closed": reduction.smith_group(n)}
-    elif args.method == "reduction":
-        summaries = {"reduction": reduction.smith_group_reduction(n)}
-    elif args.method == "oracle":
-        if n > cap:
-            raise ValueError(f"oracle method limited to n <= {cap}")
-        summaries = {"oracle": reduction.smith_group_oracle(n)}
-    else:  # all
-        if n % 2 and n > cap:
-            raise ValueError(f"odd n = {n} is above the oracle cap {cap}, "
-                             "so no route checks the closed form")
-        summaries = {"closed": reduction.smith_group(n)}
-        if n % 2 == 0:
-            summaries["reduction"] = reduction.smith_group_reduction(n)
-        if n <= cap:
-            summaries["oracle"] = reduction.smith_group_oracle(n)
-    elapsed_ms = int((time.monotonic() - t0) * 1000)
-    names = sorted(summaries)
-    base = summaries[names[0]]
-    mismatch = [name for name in names[1:]
-                if not reduction.same_group(base, summaries[name])]
-    primary = summaries.get("closed") or summaries[names[0]]
-    report = {
-        "command": "smith-group",
-        "params": {"method": args.method, "n": n},
-        "status": "mismatch" if mismatch else "ok",
-        "free_rank": primary.free_rank,
-        "entries": _summary_entries(primary),
-        "elapsed_ms": elapsed_ms,
-    }
-    if mismatch:
-        report["payload"] = {
-            name: {"entries": _summary_entries(s), "free_rank": s.free_rank}
-            for name, s in summaries.items()}
-    _emit_report(report, args.format, args.out)
-    return 2 if mismatch else 0
+    summaries = {r: getattr(reduction, _ROUTES[r])(n) for r in routes}
+    primary = summaries[routes[0]]
+    ok = all(reduction.same_group(primary, summaries[r]) for r in routes[1:])
+    fields = _summary(primary)
+    if not ok:
+        fields["payload"] = {r: _summary(s) for r, s in summaries.items()}
+    return _finish(args, "smith-group", {"method": method, "n": n}, ok, t0, fields)
 
 
 def _cmd_verify(args) -> int:
@@ -121,11 +108,11 @@ def _cmd_verify(args) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     t0 = time.monotonic()
-    payload: dict = {}
+    fields: dict = {}
     if args.target == "bier":
         failures = canonical.verify_bier(n)
         ok = not failures
-        payload = {"checked_up_to": n // 2, "failures": failures}
+        fields["payload"] = {"checked_up_to": n // 2, "failures": failures}
     elif args.target == "conjecture":
         ok = reduction.verify_conjecture(n, oracle_cap=args.cap)
     elif args.target == "half":
@@ -135,19 +122,9 @@ def _cmd_verify(args) -> int:
     else:  # laplacian
         rep = reduction.laplacian_partial_check(n)
         ok = rep.ok
-        payload = {"comparisons": [list(c) for c in rep.comparisons],
-                   "s": rep.s}
-    elapsed_ms = int((time.monotonic() - t0) * 1000)
-    report = {
-        "command": "verify",
-        "params": {"n": n, "target": args.target},
-        "status": "ok" if ok else "mismatch",
-        "elapsed_ms": elapsed_ms,
-    }
-    if payload:
-        report["payload"] = payload
-    _emit_report(report, args.format, args.out)
-    return 0 if ok else 2
+        fields["payload"] = {"comparisons": [list(c) for c in rep.comparisons],
+                             "s": rep.s}
+    return _finish(args, "verify", {"n": n, "target": args.target}, ok, t0, fields)
 
 
 # kind -> (arity, builder); the builders look their function up when called
@@ -183,20 +160,19 @@ def build_parser() -> _Parser:
     sg.add_argument("n", type=int)
     sg.add_argument("--method", choices=["closed", "oracle", "reduction", "all"],
                     default="closed")
-    sg.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    sg.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP,
-                    help="size limit for the elimination oracle")
-    sg.add_argument("--out", default=None)
     sg.set_defaults(func=_cmd_smith_group)
 
     vf = sub.add_parser("verify", help="run one of the structural verifications")
     vf.add_argument("target", choices=["bier", "conjecture", "half",
                                        "conjugacy", "laplacian"])
     vf.add_argument("n", type=int)
-    vf.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    vf.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
-    vf.add_argument("--out", default=None)
     vf.set_defaults(func=_cmd_verify)
+
+    for report in (sg, vf):
+        report.add_argument("--format", choices=["json", "csv", "text"], default="json")
+        report.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP,
+                            help="size limit for the elimination oracle")
+        report.add_argument("--out", default=None)
 
     mx = sub.add_parser("matrix", help="emit a constructed matrix as sparse triples")
     mx.add_argument("kind", choices=sorted(_MATRICES))

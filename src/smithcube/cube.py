@@ -131,8 +131,8 @@ def blocks(n: int) -> BlockPair:
     in decreasing mask order; complementing reverses inclusion, so N's block
     from size i to i+1 is W_{n-i,n-i-1}.
     """
-    _check_n(n)
     m = _require_even(n)
+    _check_n(n)
     m_block = graded_blocks(n, range(m), range(m + 1),
                             lambda i: incidence_matrix(n, i, i + 1))
     n_block = graded_blocks(n, range(m, n + 1), range(m + 1, n + 1),

@@ -239,6 +239,10 @@ def test_text_parse_errors():
     ("2\n0 0 0\n", 2, "2"), ("2 2 2\n0 0 0\n", 2, "2 2 2"),
     ("2 x\n0 0 0\n", 2, "2 x"), ("2 2\n1 1\n0 0 0\n", 3, "1 1"),
     ("2 2\n1 1 1 1\n0 0 0\n", 3, "1 1 1 1"), ("2 2\n1 1 1.5\n0 0 0\n", 3, "1 1 1.5"),
+    # int() reads these as 10, 1 and 12, but to_text writes only -?[0-9]+
+    ("2 2\n1 1 1_0\n0 0 0\n", 3, "1 1 1_0"), ("2 2\n1 1 +1\n0 0 0\n", 3, "1 1 +1"),
+    ("2 2\n1 1 \u0661\u0662\n0 0 0\n", 3, "1 1 \u0661\u0662"),
+    ("+2 2\n0 0 0\n", 2, "+2 2"),
 ])
 def test_text_parse_names_a_line_of_the_wrong_shape(text, count, line):
     with pytest.raises(ValueError) as err:

@@ -1,4 +1,5 @@
 import json
+import time
 from math import comb
 
 import pytest
@@ -203,6 +204,24 @@ def test_verify_bier_refuses_before_any_matrix(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", "error: a side of C(30, 15) subsets exceeds the size cap 2^14 = 16384\n")
+
+
+def test_verify_bier_holds_all_its_inclusion_matrices_to_one_cap(capsys, monkeypatch):
+    # each W(16, a, b) is within the caps, but all of them together hold
+    # 5445441 nonzeros: verify bier 16 once peaked at 1.66 GB
+    def no_build(n, t, k):
+        raise AssertionError(f"W({n}, {t}, {k}) was started")
+    monkeypatch.setattr(canonical, "incidence_matrix", no_build)
+    t0 = time.monotonic()
+    assert cli.main(["verify", "bier", "16"]) == 1
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: the W(16, a, b), a <= b <= 8, have 5445441 nonzeros in all, "
+            "above the cap 3^14 = 4782969\n")
+    # n = 15, 1266027 nonzeros in all, passes the bound and starts building
+    with pytest.raises(AssertionError, match="was started"):
+        verify_bier(15)
 
 
 def test_snf_of_inclusion_matches_wilson_diagonal():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -75,6 +76,22 @@ def test_matrix_output_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
+# SHA-256 over one JSON line [argv, exit code, stdout, stderr] for each
+# smith-group and verify argv of _sweep_argv(), with "elapsed_ms":N taken
+# out of stdout; recorded before the two commands shared one report path
+REPORT_SHA256 = "f72bd01c27dbb5769528a69c382c8dc4937d7083b130478595f5c82179e40d96"
+
+
+def test_report_output_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in _sweep_argv():
+        if argv[0] != "matrix":
+            code, out, err = run(capsys, *argv)
+            out = re.sub(r'"elapsed_ms":\d+', "", out)
+            digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+    assert digest.hexdigest() == REPORT_SHA256
+
+
 def test_smith_group_all_n4(capsys):
     code, out, _ = run(capsys, "smith-group", "4", "--method", "all")
     assert code == 0
@@ -94,11 +111,12 @@ def test_smith_group_odd_n(capsys):
 
 
 def test_half_blocks_refuse_odd_n(capsys):
-    for argv in (("matrix", "M", "3"), ("matrix", "N", "3"),
-                 ("verify", "half", "3")):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, ""), argv
-        assert err == "error: even n >= 2 required, got 3\n", argv
+    # above the size cap too, the odd n is what is named
+    for n in ("3", "15"):
+        for argv in (("matrix", "M", n), ("matrix", "N", n), ("verify", "half", n)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err == f"error: even n >= 2 required, got {n}\n", argv
 
 
 def test_smith_group_odd_n_without_second_route(capsys):
