@@ -7,6 +7,7 @@ share between threads.
 """
 from __future__ import annotations
 
+import re
 from math import gcd
 from operator import itemgetter
 
@@ -447,6 +448,10 @@ def two_adic_counts(m: IntMatrix, e: int) -> tuple:
 # -- sparse-triple text format --------------------------------------------
 
 
+# the characters to_text writes; from_text refuses every other
+_ALPHABET = re.compile(r"[-0-9 \n]*")
+
+
 def to_text(m: IntMatrix) -> str:
     """Serialize in the sparse-triple format: header "rows cols", one line
     "i j value" per nonzero entry (1-based), terminator "0 0 0"."""
@@ -458,21 +463,15 @@ def to_text(m: IntMatrix) -> str:
 
 
 def _ints(line: str, count: int, plain: bool) -> list:
-    """The `count` ints of one line of the sparse-triple format, each
-    written as to_text writes it: -?[0-9]+.  int() also reads `+1`, `1_0`
-    and non-ASCII digits; `plain` says the whole text is ASCII without `_`
-    or `+`, and only the lines of a text that is not are checked word by
-    word."""
-    words = line.split()
-    if not plain and not all(w.isascii() and w.removeprefix("-").isdigit()
-                             for w in words):
-        words = []
+    """The `count` ints of one line of the sparse-triple format; `plain`
+    says the whole text is in `_ALPHABET`, else the line itself must be."""
+    words = line.split() if plain or _ALPHABET.fullmatch(line) else []
     try:
         values = [int(w) for w in words]
     except ValueError:
         values = []
     if len(values) != count:
-        raise ValueError(f"expected {count} integers, got line {line.strip()!r}")
+        raise ValueError(f"expected {count} integers, got line {line.strip(' ')!r}")
     return values
 
 
@@ -481,10 +480,10 @@ def from_text(text: str) -> IntMatrix:
 
     Strict: each (i, j) appears at most once and nothing but blank lines
     may follow the terminator."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in text.split("\n") if ln.strip(" ")]
     if not lines:
         raise ValueError("empty matrix text")
-    plain = text.isascii() and "_" not in text and "+" not in text
+    plain = _ALPHABET.fullmatch(text) is not None
     rows, cols = _ints(lines[0], 2, plain)
     if not (0 <= rows <= 1 << SIZE_CAP and 0 <= cols <= 1 << SIZE_CAP):
         raise ValueError(f"header {rows} {cols}: each side must lie in 0..2^"
@@ -493,7 +492,7 @@ def from_text(text: str) -> IntMatrix:
     terminated = False
     for ln in lines[1:]:
         if terminated:
-            raise ValueError(f"line after the 0 0 0 terminator: {ln.strip()!r}")
+            raise ValueError(f"line after the 0 0 0 terminator: {ln.strip(' ')!r}")
         i, j, v = _ints(ln, 3, plain)
         if (i, j, v) == (0, 0, 0):
             terminated = True

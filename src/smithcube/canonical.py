@@ -6,7 +6,6 @@ simultaneously diagonalizes every inclusion matrix with t <= k <= n/2.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .bigmat import SIZE_CAP, IntMatrix, _packed
@@ -40,7 +39,6 @@ def wilson_diagonal(n: int, t: int, k: int) -> tuple:
                  for _ in range(count_full_rank(n, j)))
 
 
-@lru_cache(maxsize=None)
 def build_E(n: int, k: int) -> IntMatrix:
     """The canonical basis matrix: for j = 0..k, the rows of W_{j,k}
     labeled by full-rank j-subsets."""

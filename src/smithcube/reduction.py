@@ -94,12 +94,6 @@ class CondensedMatrix(_Record):
     # entries: (row_label, col_label) -> int; row_weights: row_label -> int > 0
     __slots__ = ("m", "precision", "entries", "row_weights")
 
-    def row_labels(self) -> tuple:
-        return tuple((i, k) for i in range(1, self.m + 1) for k in range(1, i + 1))
-
-    def col_labels(self) -> tuple:
-        return tuple((j, l) for j in range(self.m + 1) for l in range(1, j + 2))
-
     def validate(self) -> None:
         m, top = self.m, 1 << self.precision
         weights = self.row_weights
@@ -188,11 +182,11 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
     m = c.m
     modulus = 1 << c.precision
     mask = modulus - 1
-    rows: dict = {r: {} for r in c.row_labels()}
-    cols: dict = {cl: set() for cl in c.col_labels()}
+    rows: dict = {r: {} for r in c.row_weights}
+    cols: dict = {}
     for (r, cl), v in c.entries.items():
         rows[r][cl] = v
-        cols[cl].add(r)
+        cols.setdefault(cl, set()).add(r)
 
     def add_to(r, cl, delta):
         # only even entries change: a diagonal value is never a target

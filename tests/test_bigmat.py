@@ -243,6 +243,11 @@ def test_text_parse_errors():
     ("2 2\n1 1 1_0\n0 0 0\n", 3, "1 1 1_0"), ("2 2\n1 1 +1\n0 0 0\n", 3, "1 1 +1"),
     ("2 2\n1 1 \u0661\u0662\n0 0 0\n", 3, "1 1 \u0661\u0662"),
     ("+2 2\n0 0 0\n", 2, "+2 2"),
+    # splitlines and split() read these control characters as separators,
+    # but to_text separates only with the space and \n
+    ("1 1\x1c1 1 5\x0c0 0 0\n", 2, "1 1\x1c1 1 5\x0c0 0 0"),
+    ("1\x1f1\n1 1 5\n0 0 0\n", 2, "1\x1f1"), ("2 2\n1\t1 5\n0 0 0\n", 3, "1\t1 5"),
+    ("2 2\r\n1 1 5\r\n0 0 0\r\n", 2, "2 2\r"), ("2 2\n1 1 5\x00\n0 0 0\n", 3, "1 1 5\x00"),
 ])
 def test_text_parse_names_a_line_of_the_wrong_shape(text, count, line):
     with pytest.raises(ValueError) as err:

@@ -193,6 +193,20 @@ def test_to_text_from_text_round_trip(m):
     assert built == m and hash(built) == hash(m)
 
 
+# every C0 control but \n, DEL, and characters that int(), str.split or
+# str.splitlines read but to_text never writes
+foreign_chars = st.sampled_from([chr(c) for c in range(32) if c != 10]
+                                + ["\x7f", "+", "_", "\u0661", "\x85", "\u2028"])
+
+
+@given(int_matrices(5, st.integers()), foreign_chars, st.data())
+def test_from_text_refuses_a_character_to_text_never_writes(m, char, data):
+    text = to_text(m)
+    at = data.draw(st.integers(0, len(text)))
+    with pytest.raises(ValueError):
+        from_text(text[:at] + char + text[at:])
+
+
 @given(int_matrices(5, product_entries), int_matrices(5, product_entries),
        st.integers(-3, 3), st.data())
 def test_sparse_operations_match_dense_lists(a, b, c, data):

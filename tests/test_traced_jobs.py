@@ -15,7 +15,8 @@ from smithcube import cli
 
 JOB = Path(__file__).resolve().parents[1] / "perfbench" / "job.py"
 COMMANDS = (("smith-group", "6", "--method", "all"), ("verify", "bier", "5"),
-            ("verify", "half", "6"), ("matrix", "laplacian", "3"))
+            ("verify", "half", "6"), ("matrix", "laplacian", "3"),
+            ("matrix", "E", "6", "3"))
 
 
 def _strip_elapsed(text: str) -> str:
@@ -34,5 +35,6 @@ def test_traced_jobs_match_the_cli(tmp_path, capsys):
         assert _strip_elapsed(job.stdout) == _strip_elapsed(capsys.readouterr().out), argv
         spans.update(name for name, *_ in json.loads(meta.read_text())["spans"])
     # no command multiplies two matrices, so bigmat.matmul is not a span;
-    # both names are INTMATRIX_METHODS entries, so a dropped method fails here
-    assert {"bigmat.eq", "bigmat.transpose"} <= spans
+    # both bigmat names are INTMATRIX_METHODS entries, so a dropped method
+    # fails here; build_E, uncached, is still wrapped as a span
+    assert {"bigmat.eq", "bigmat.transpose", "canonical.build_E"} <= spans
