@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from math import gcd
 from operator import itemgetter
+from struct import pack
 
 # the module behind collections.abc, which os and collections load anyway,
 # so the annotations resolve without importing collections.abc or typing
@@ -285,7 +286,8 @@ def _divisibility_chain(entries: Iterable[int]) -> list:
     any integer factorization.
     """
     d = sorted(abs(e) for e in entries)
-    for i in range(len(d)):
+    # a unit divides everything, so the leading 1s stay as they are
+    for i in range(d.count(1), len(d)):
         di = d[i]
         for j in range(i + 1, len(d)):
             if d[j] % di:
@@ -296,22 +298,155 @@ def _divisibility_chain(entries: Iterable[int]) -> list:
     return d
 
 
+# _eliminate leaves its dict rows for packed rows once the nonzeros of the
+# active block reach this fraction of its rows times its columns
+_DENSE_FILL = 0.5
+# a packed row holds one signed 64-bit slot per active column; every entry
+# stays below _SLOT_LIMIT in absolute value, half the slot's range
+_SLOT_LIMIT = 1 << 62
+_SLOT_MASK = (1 << 64) - 1
+_SLOT_BIAS = 1 << 63
+
+
+def _pack_row(values: list, bias: int) -> int:
+    """One int holding the given entries, entry j at bits 64j on, as an exact
+    signed sum; `bias` holds 2^63 in each of their slots."""
+    return (int.from_bytes(pack(f"<{len(values)}q", *values), "little") ^ bias) - bias
+
+
+def _unpack_row(row: int, bias: int, width: int) -> list:
+    """The `width` entries of a packed row, inverse of `_pack_row`."""
+    raw = ((row + bias) ^ bias).to_bytes(8 * width, "little")
+    return memoryview(raw).cast("q").tolist()
+
+
+def _packed_tail(rows: dict, cols: dict, diag: list) -> None:
+    """Finish `_eliminate` on packed rows: each active row becomes one int
+    with a slot per active column, so a row update R - q*P is one big-int
+    expression instead of one Python step per cell.
+
+    Each row keeps a bound on its largest |entry|, and an update adds |q|
+    times the pivot row's bound to it.  A bound that reaches _SLOT_LIMIT is
+    first made exact by unpacking both rows; if it still reaches it, the
+    rows go back into `rows` and `cols` as dicts and the caller's dict loop
+    finishes.  If an entry is already that large, nothing is packed.  On
+    success, the nonzero diagonal entries go to `diag` and both dicts end
+    empty.
+    """
+    bound = [max(map(abs, row.values())) for row in rows.values()]
+    if max(bound) >= _SLOT_LIMIT:
+        return
+    order = sorted(cols)
+    slot = {c: k for k, c in enumerate(order)}
+    width = len(order)
+    bias = int.from_bytes(_SLOT_BIAS.to_bytes(8, "little") * width, "little")
+    packed = []
+    for row in rows.values():
+        values = [0] * width
+        for c, v in row.items():
+            values[slot[c]] = v
+        packed.append(_pack_row(values, bias))
+    rows.clear()
+    cols.clear()
+    while packed:
+        # the pivot row has the least bound, and the pivot is its entry of
+        # least |value|
+        pr = min(range(len(packed)), key=bound.__getitem__)
+        values = _unpack_row(packed[pr], bias, width)
+        sizes = list(map(abs, values))
+        least = min(filter(None, sizes), default=0)
+        if not least:
+            del packed[pr], bound[pr]
+            continue
+        bound[pr] = max(sizes)
+        pc = sizes.index(least)
+        while True:
+            shift = 64 * pc
+            column = [((r + bias) >> shift & _SLOT_MASK) - _SLOT_BIAS for r in packed]
+            while True:
+                # nearest-quotient row steps clear the column under the pivot
+                p = column[pr]
+                prow = packed[pr]
+                for r, v in enumerate(column):
+                    if not v or r == pr:
+                        continue
+                    q, rem = divmod(v, p)
+                    if 2 * abs(rem) > abs(p):
+                        q += 1
+                        rem -= p
+                    if not q:
+                        continue
+                    b = bound[r] + abs(q) * bound[pr]
+                    if b >= _SLOT_LIMIT:
+                        bound[pr] = max(map(abs, _unpack_row(prow, bias, width)))
+                        b = (max(map(abs, _unpack_row(packed[r], bias, width)))
+                             + abs(q) * bound[pr])
+                        if b >= _SLOT_LIMIT:
+                            _unpacked(packed, order, bias, rows, cols)
+                            return
+                    packed[r] -= q * prow
+                    # a row that turns zero is dropped at the next pivot
+                    bound[r] = b if packed[r] else 0
+                    column[r] = rem
+                left = [r for r, v in enumerate(column) if v and r != pr]
+                if not left:
+                    break
+                pr = min(left, key=lambda r: (abs(column[r]), bound[r]))
+            # nearest-quotient column steps reduce the rest of the pivot row;
+            # its column is clean, so they touch no other row
+            values = _unpack_row(packed[pr], bias, width)
+            rest = []
+            for c, x in enumerate(values):
+                if x and c != pc:
+                    x %= p
+                    if 2 * abs(x) > abs(p):
+                        x -= p
+                    values[c] = x
+                    if x:
+                        rest.append(c)
+            if not rest:
+                diag.append(p)
+                del packed[pr], bound[pr]
+                break
+            packed[pr] = _pack_row(values, bias)
+            bound[pr] = max(map(abs, values))
+            pc = min(rest, key=lambda c: abs(values[c]))
+
+
+def _unpacked(packed: list, order: list, bias: int, rows: dict, cols: dict) -> None:
+    """Put packed rows back into the dict form of `_eliminate`."""
+    for i, r in enumerate(packed):
+        row = {order[k]: v for k, v in enumerate(_unpack_row(r, bias, len(order))) if v}
+        if row:
+            rows[i] = row
+            for c in row:
+                cols.setdefault(c, set()).add(i)
+
+
 def _eliminate(m: IntMatrix) -> list:
-    """Diagonalize an integer matrix by unimodular row and column operations
-    on a sparse copy; returns the list of nonzero diagonal entries produced.
+    """Diagonalize an integer matrix by unimodular row and column operations;
+    returns the list of nonzero diagonal entries produced.
 
-    Each stored row becomes a {col: value} dict, and a column -> row-set
-    index mirrors them.  The pivot row is the shortest active row, and the
-    pivot is its entry of least absolute value, ties going to the shortest
-    column.
+    The sparse phase works on a copy with one {col: value} dict per row and
+    a column -> row-set index that mirrors them.  The pivot row is the
+    shortest active row, and the pivot is its entry of least absolute value,
+    ties going to the shortest column.  Row operations with the pivot row
+    clear the pivot column; column operations then reduce the pivot row,
+    and they touch only that row because its column is already clean.  Both
+    passes take the nearest quotient, so each remainder is at most half the
+    pivot in absolute value, which keeps coefficients small.  A nonzero
+    remainder left by either pass becomes the new pivot: the smallest one,
+    a remainder in the pivot row going to the shortest column.  Pivots thus
+    strictly shrink in absolute value, so the loop terminates.
 
-    Row operations with the pivot row clear the pivot column; column
-    operations then reduce the pivot row, and they touch only that row
-    because its column is already clean.  Both passes take the nearest
-    quotient, so each remainder is at most half the pivot in absolute value,
-    which keeps coefficients small.  A nonzero remainder left by either
-    pass, the smallest first, becomes the new pivot.  Pivots thus strictly
-    shrink in absolute value, so the loop terminates.
+    The dense phase starts, at most once, when the active block's nonzeros
+    reach _DENSE_FILL times its rows times its columns: `_packed_tail` packs
+    each active row into one int, a signed 64-bit slot per active column,
+    and finishes with the same steps, each row update one big-int
+    expression.  Every packed entry stays below 2^62 in absolute value by a
+    bound kept per row; an update that could reach 2^62, or an entry that
+    already does when the phase starts, leaves the block to this dict loop,
+    so the answer is exact for every input.
     """
     rows: dict = {}
     cols: dict = {}
@@ -321,7 +456,13 @@ def _eliminate(m: IntMatrix) -> list:
             for j, _ in row:
                 cols.setdefault(j, set()).add(i)
     diag = []
+    dense = False
     while rows:
+        if not dense and (sum(map(len, rows.values()))
+                          >= _DENSE_FILL * len(rows) * len(cols)):
+            dense = True
+            _packed_tail(rows, cols, diag)
+            continue
         # rows are never re-inserted, so dict order is index order and this
         # is the first shortest row
         pr = min(zip(map(len, rows.values()), rows))[1]
@@ -367,7 +508,8 @@ def _eliminate(m: IntMatrix) -> list:
                 diag.append(p)
                 del rows[pr], cols[pc]
                 break
-            pc = min((c for c in prow if c != pc), key=lambda c: abs(prow[c]))
+            pc = min((c for c in prow if c != pc),
+                     key=lambda c: (abs(prow[c]), len(cols[c])))
     return diag
 
 
@@ -493,7 +635,15 @@ def from_text(text: str) -> IntMatrix:
     for ln in lines[1:]:
         if terminated:
             raise ValueError(f"line after the 0 0 0 terminator: {ln.strip(' ')!r}")
-        i, j, v = _ints(ln, 3, plain)
+        # a line that is not three ints, or any line of a text outside the
+        # alphabet, goes through _ints, which names the line it refuses
+        try:
+            i, j, v = map(int, ln.split())
+            read = plain
+        except ValueError:
+            read = False
+        if not read:
+            i, j, v = _ints(ln, 3, plain)
         if (i, j, v) == (0, 0, 0):
             terminated = True
             continue

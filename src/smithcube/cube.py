@@ -61,8 +61,12 @@ def monomial_adjacency(n: int) -> IntMatrix:
 
 
 def laplacian(n: int) -> IntMatrix:
-    """n*I - A from A's rows; for the degree-matrix congruence report only."""
-    a = adjacency(n)
+    """n*I - A; for the degree-matrix congruence report only."""
+    return _laplacian_of(adjacency(n), n)
+
+
+def _laplacian_of(a: IntMatrix, n: int) -> IntMatrix:
+    """n*I - A from the rows of A, the n-cube's adjacency matrix."""
     return IntMatrix.from_rows(({i: n, **{j: -v for j, v in a.pairs(i)}}
                                 for i in range(a.rows)), a.rows)
 

@@ -15,8 +15,8 @@ from math import comb, isqrt
 
 from .bigmat import SIZE_CAP, IntMatrix, _Record, snf, two_adic_counts, valuation
 from .canonical import _check_half, build_E, wilson_form
-from .cube import (_check_n, _require_even, adjacency, graded_blocks,
-                   laplacian, vertex_order)
+from .cube import (_check_n, _laplacian_of, _require_even, adjacency,
+                   graded_blocks, vertex_order)
 from .subsets import count_full_rank
 
 
@@ -475,6 +475,7 @@ def laplacian_partial_check(n: int) -> LaplacianReport:
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     s = n.bit_length() - 1
-    counts_a = two_adic_counts(adjacency(n), s)
-    counts_l = two_adic_counts(laplacian(n), s)
+    a = adjacency(n)
+    counts_a = two_adic_counts(a, s)
+    counts_l = two_adic_counts(_laplacian_of(a, n), s)
     return LaplacianReport(n, s, tuple(zip(range(s), counts_a, counts_l)))

@@ -1,15 +1,19 @@
 import copy
+import hashlib
+import importlib.util
 import pickle
 import random
 import tracemalloc
 import typing
+from pathlib import Path
 
 import pytest
 
 import smithcube
+from smithcube import bigmat
 from smithcube.bigmat import (SIZE_CAP, IntMatrix, InvariantFactors, from_text,
                               snf, to_text, two_adic_counts, valuation)
-from smithcube.cube import adjacency, blocks, laplacian
+from smithcube.cube import adjacency, blocks, laplacian, vertex_order
 from smithcube.reduction import (_factor_small, build_condensed,
                                  laplacian_partial_check, reduce_condensed,
                                  smith_group)
@@ -293,6 +297,72 @@ def _random_unimodular(rng, n, steps=12):
         else:
             data[i] = [-x for x in data[i]]
     return from_grid(data)
+
+
+def _spied(monkeypatch, name):
+    """Calls of bigmat.`name` from here on, each recorded as one entry."""
+    calls = []
+    real = getattr(bigmat, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(bigmat, name, spy)
+    return calls
+
+
+def test_packed_tail_finishes_a_dense_block(monkeypatch):
+    # forced from the first pivot on, the packed rows give A(6)'s closed form
+    monkeypatch.setattr(bigmat, "_DENSE_FILL", 0)
+    packs, hand_backs = _spied(monkeypatch, "_pack_row"), _spied(monkeypatch, "_unpacked")
+    assert snf(adjacency(6)) == InvariantFactors((1,) * 32 + (2,) * 10 + (6,) * 2, 20)
+    assert packs and not hand_backs
+
+
+def test_packed_tail_hands_back_at_the_slot_limit(monkeypatch):
+    # pivot 3 leaves remainder 1, and clearing the 3 under that new pivot
+    # would add 3 * 2^61 to the other row: the bound stays at 2^62 once
+    # made exact, so the block goes back to the dict loop
+    monkeypatch.setattr(bigmat, "_DENSE_FILL", 0)
+    hand_backs = _spied(monkeypatch, "_unpacked")
+    assert snf(from_grid([[1, 2 ** 61], [3, 0]])) == InvariantFactors((1, 3 * 2 ** 61), 0)
+    assert len(hand_backs) == 1
+
+
+def test_packed_tail_packs_nothing_with_an_entry_at_the_slot_limit(monkeypatch):
+    monkeypatch.setattr(bigmat, "_DENSE_FILL", 0)
+    packs = _spied(monkeypatch, "_pack_row")
+    for big in (2 ** 62, -2 ** 62, 2 ** 80):
+        assert snf(from_grid([[big, 1], [1, 1]])) == InvariantFactors((1, abs(big - 1)), 0)
+    assert not packs
+    assert snf(from_grid([[2 ** 62 - 1, 1], [1, 1]])) == InvariantFactors((1, 2 ** 62 - 2), 0)
+    assert packs
+
+
+def _bipartite_block(n):
+    odd = [s.bit_count() & 1 for s in vertex_order(n)]
+    return adjacency(n).submatrix([i for i, o in enumerate(odd) if not o],
+                                  [i for i, o in enumerate(odd) if o])
+
+
+# sha256 of one "factors zero_count" line per snf, for the bipartite blocks
+# of Q_2..Q_10 and then the 8 relabellings of A(8) of each of the benchmark
+# seeds 1, 2 and 3, recorded with the dict-only elimination
+SNF_DIGEST = "98934527df9182a65a34dae21a4b838708ae68f09f511b4ac4821da7633ba856"
+
+
+def test_snf_of_cube_blocks_and_relabellings_keeps_its_digest():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    matrices = [_bipartite_block(n) for n in range(2, 11)]
+    matrices += [from_text(t) for seed in (1, 2, 3) for t in inputs.relabellings(seed)]
+    digest = hashlib.sha256()
+    for m in matrices:
+        inv = snf(m)
+        digest.update(f"{inv.factors} {inv.zero_count}\n".encode())
+    assert digest.hexdigest() == SNF_DIGEST
 
 
 def test_snf_unimodular_invariance():

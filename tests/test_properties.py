@@ -2,12 +2,14 @@
 from enum import IntEnum
 from functools import reduce
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, inf
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smithcube import bigmat
 from smithcube.bigmat import (IntMatrix, _divisibility_chain, from_text, snf,
                               to_text, two_adic_counts, valuation)
 from smithcube.reduction import (_binomial_row, _positional_merge,
@@ -177,6 +179,26 @@ def test_snf_of_bipartite_matrix_doubles_snf_of_its_block(b):
     inv = snf(full)
     assert inv.factors == tuple(d for d in half.factors for _ in (0, 1))
     assert inv.zero_count == r + c - 2 * len(half.factors)
+
+
+small_entries = st.integers(-6, 6)
+# within 2 of +-2^62, the packed tail's limit, and up to +-2^80, which no
+# 64-bit slot holds
+near_slot_limit = st.builds(lambda sign, d: sign * (2 ** 62 + d),
+                            st.sampled_from((1, -1)), st.integers(-2, 2))
+
+
+@given(st.one_of(int_matrices(24, small_entries),
+                 int_matrices(24, st.one_of(small_entries, near_slot_limit)),
+                 int_matrices(24, st.one_of(small_entries,
+                                            st.integers(-2 ** 80, 2 ** 80)))))
+def test_snf_same_with_and_without_the_packed_tail(m):
+    # a fill fraction of 0 packs the block before the first pivot, and one
+    # of inf keeps the dict loop to the end
+    with patch.object(bigmat, "_DENSE_FILL", 0):
+        packed = snf(m)
+    with patch.object(bigmat, "_DENSE_FILL", inf):
+        assert snf(m) == packed
 
 
 # often zero, so that zero rows, zero columns and sparse rows occur

@@ -455,12 +455,12 @@ def test_laplacian_partial():
 
 def test_laplacian_check_sees_one_changed_entry(monkeypatch, capsys):
     # 1 more at (0, 0) of nI - A moves c_0 of L(8) from 128 to 129
-    original = reduction.laplacian
+    original = reduction._laplacian_of
 
-    def bumped(n):
+    def bumped(a, n):
         side = 1 << n
-        return original(n) + IntMatrix.from_rows([{0: 1}] + [{}] * (side - 1), side)
-    monkeypatch.setattr(reduction, "laplacian", bumped)
+        return original(a, n) + IntMatrix.from_rows([{0: 1}] + [{}] * (side - 1), side)
+    monkeypatch.setattr(reduction, "_laplacian_of", bumped)
     rep = laplacian_partial_check(8)
     assert not rep.ok
     assert rep.comparisons[0] == (0, 128, 129)
