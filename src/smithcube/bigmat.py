@@ -107,8 +107,12 @@ class IntMatrix(_Record):
     @classmethod
     def from_rows(cls, rows: Iterable[dict], cols: int) -> "IntMatrix":
         """Matrix with one {col: value} dict per row, the one builder.
-        Values must be ints (bool is refused) and columns lie in
-        0..cols-1; zero values are dropped."""
+        `cols` is a plain int >= 0, values are ints (bool is refused),
+        columns lie in 0..cols-1 and zero values are dropped."""
+        if type(cols) is not int:
+            raise TypeError(f"non-integer column count {cols!r}")
+        if cols < 0:
+            raise ValueError("negative dimensions")
         data = []
         for row in rows:
             _check_entries(row.values())
@@ -521,9 +525,11 @@ def snf(m: IntMatrix) -> InvariantFactors:
 
 
 def valuation(x: int, p: int) -> int:
-    """Exponent of p in x; x must be nonzero."""
+    """Exponent of p in x; x must be nonzero and p at least 2."""
     if x == 0:
         raise ValueError("valuation of zero")
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
     e = 0
     while x % p == 0:
         x //= p
@@ -604,54 +610,42 @@ def to_text(m: IntMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ints(line: str, count: int, plain: bool) -> list:
-    """The `count` ints of one line of the sparse-triple format; `plain`
-    says the whole text is in `_ALPHABET`, else the line itself must be."""
-    words = line.split() if plain or _ALPHABET.fullmatch(line) else []
-    try:
-        values = [int(w) for w in words]
-    except ValueError:
-        values = []
-    if len(values) != count:
-        raise ValueError(f"expected {count} integers, got line {line.strip(' ')!r}")
-    return values
-
-
 def from_text(text: str) -> IntMatrix:
     """Parse the sparse-triple format; exact inverse of :func:`to_text`.
 
-    Strict: each (i, j) appears at most once and nothing but blank lines
-    may follow the terminator."""
+    Strict: a text outside `_ALPHABET` is refused at its first line with a
+    foreign character, each (i, j) appears at most once, and nothing but
+    blank lines may follow the terminator."""
     lines = [ln for ln in text.split("\n") if ln.strip(" ")]
     if not lines:
         raise ValueError("empty matrix text")
-    plain = _ALPHABET.fullmatch(text) is not None
-    rows, cols = _ints(lines[0], 2, plain)
+    if not _ALPHABET.fullmatch(text):
+        k = next(k for k, ln in enumerate(lines) if not _ALPHABET.fullmatch(ln))
+        raise ValueError(f"expected {3 if k else 2} integers, got line "
+                         f"{lines[k].strip(' ')!r}")
+    try:
+        rows, cols = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"expected 2 integers, got line "
+                         f"{lines[0].strip(' ')!r}") from None
     if not (0 <= rows <= 1 << SIZE_CAP and 0 <= cols <= 1 << SIZE_CAP):
         raise ValueError(f"header {rows} {cols}: each side must lie in 0..2^"
                          f"{SIZE_CAP} = {1 << SIZE_CAP}")
     data: list = [{} for _ in range(rows)]
-    terminated = False
-    for ln in lines[1:]:
-        if terminated:
-            raise ValueError(f"line after the 0 0 0 terminator: {ln.strip(' ')!r}")
-        # a line that is not three ints, or any line of a text outside the
-        # alphabet, goes through _ints, which names the line it refuses
+    for k, ln in enumerate(lines[1:], 1):
         try:
             i, j, v = map(int, ln.split())
-            read = plain
         except ValueError:
-            read = False
-        if not read:
-            i, j, v = _ints(ln, 3, plain)
+            raise ValueError(f"expected 3 integers, got line "
+                             f"{ln.strip(' ')!r}") from None
         if (i, j, v) == (0, 0, 0):
-            terminated = True
-            continue
+            if k + 1 < len(lines):
+                raise ValueError(f"line after the 0 0 0 terminator: "
+                                 f"{lines[k + 1].strip(' ')!r}")
+            return IntMatrix.from_rows(data, cols)
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ValueError(f"entry ({i}, {j}) out of bounds")
         if j - 1 in data[i - 1]:
             raise ValueError(f"duplicate entry ({i}, {j})")
         data[i - 1][j - 1] = v
-    if not terminated:
-        raise ValueError("missing 0 0 0 terminator")
-    return IntMatrix.from_rows(data, cols)
+    raise ValueError("missing 0 0 0 terminator")

@@ -174,6 +174,15 @@ def test_constructors_and_errors():
             IntMatrix(*args)
 
 
+@pytest.mark.parametrize("cols, error", [(-5, ValueError), (2.5, TypeError),
+                                         (True, TypeError)])
+def test_from_rows_checks_its_column_count(cols, error):
+    # checked before any row is read: IntMatrix(1x-5) would report
+    # zero_count -5 and write a header that from_text refuses
+    with pytest.raises(error):
+        IntMatrix.from_rows([{}], cols)
+
+
 def test_annotations_resolve():
     # every name an annotation uses is bound in its module
     for name in smithcube.__all__:
@@ -252,6 +261,11 @@ def test_text_parse_errors():
     ("1 1\x1c1 1 5\x0c0 0 0\n", 2, "1 1\x1c1 1 5\x0c0 0 0"),
     ("1\x1f1\n1 1 5\n0 0 0\n", 2, "1\x1f1"), ("2 2\n1\t1 5\n0 0 0\n", 3, "1\t1 5"),
     ("2 2\r\n1 1 5\r\n0 0 0\r\n", 2, "2 2\r"), ("2 2\n1 1 5\x00\n0 0 0\n", 3, "1 1 5\x00"),
+    # a text outside the alphabet is refused at its first foreign line, even
+    # after an entry out of bounds, a duplicate entry or the terminator
+    ("2 2\n3 1 1\n1\t1 5\n0 0 0\n", 3, "1\t1 5"),
+    ("2 2\n1 1 5\n1 1 5\n1\t1 5\n0 0 0\n", 3, "1\t1 5"),
+    ("2 2\n0 0 0\n1\t1 5\n", 3, "1\t1 5"),
 ])
 def test_text_parse_names_a_line_of_the_wrong_shape(text, count, line):
     with pytest.raises(ValueError) as err:

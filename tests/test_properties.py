@@ -50,6 +50,13 @@ def test_v2_of_zero_raises():
         valuation(0, 2)
 
 
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_valuation_refuses_a_base_below_2(p):
+    # x % p is 0 for every x when p is 1 or -1, so the loop would never end
+    with pytest.raises(ValueError, match="base p >= 2"):
+        valuation(5, p)
+
+
 @given(small_counts)
 def test_invariant_factor_rle_matches_divisibility_chain(counts):
     expanded = [v for v, c in counts.items() for _ in range(c)]
