@@ -132,7 +132,7 @@ class IntMatrix(_Record):
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._stored(tuple(((i, 1),) for i in range(n)), n)
+        return cls.from_rows(({i: 1} for i in range(n)), n)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
@@ -274,11 +274,9 @@ class InvariantFactors(_Record):
                 raise ValueError(f"divisibility chain broken: {a} does not divide {b}")
 
 
-def _packed(m: IntMatrix, width: int, modulus: int = 0) -> list:
+def _packed(m: IntMatrix, width: int) -> list:
     """Each row of m as one int, the entry in column c at bits width*c on,
-    as an exact signed sum, or as its residue mod `modulus` if given."""
-    if modulus:
-        return [sum(v % modulus << c * width for c, v in row) for row in m._data]
+    as an exact signed sum."""
     return [sum(v << c * width for c, v in row) for row in m._data]
 
 
@@ -524,19 +522,6 @@ def snf(m: IntMatrix) -> InvariantFactors:
     return InvariantFactors(tuple(factors), min(m.rows, m.cols) - len(factors))
 
 
-def valuation(x: int, p: int) -> int:
-    """Exponent of p in x; x must be nonzero and p at least 2."""
-    if x == 0:
-        raise ValueError("valuation of zero")
-    if p < 2:
-        raise ValueError(f"valuation needs a base p >= 2, got {p}")
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e
-
-
 def two_adic_counts(m: IntMatrix, e: int) -> tuple:
     """Multiplicities (c_0, ..., c_{e-1}) of 2^i, i < e, among the
     elementary divisors of m, by elimination over Z/2^e.
@@ -564,7 +549,8 @@ def two_adic_counts(m: IntMatrix, e: int) -> tuple:
         raise ValueError(f"e must be >= 1, got {e}")
     width = 2 * e + 1
     top = 1 << e
-    rows = [r for r in _packed(m, width, top) if r]
+    rows = [r for r in (sum(v % top << c * width for c, v in row)
+                        for row in m._data) if r]
     # bit 0 of every slot
     odd = sum(1 << s for s in range(0, m.cols * width, width))
     counts = []
@@ -596,8 +582,11 @@ def two_adic_counts(m: IntMatrix, e: int) -> tuple:
 # -- sparse-triple text format --------------------------------------------
 
 
-# the characters to_text writes; from_text refuses every other
+# the characters to_text writes, and the 0 that opens a word it never
+# writes (-0, 007); from_text refuses any other character and such words.
+# The pattern starts with the literal 0, so a search skips from 0 to 0.
 _ALPHABET = re.compile(r"[-0-9 \n]*")
+_LEADING_ZERO = re.compile(r"0(?:(?<![^ \n]0)[0-9]|(?<=-0)(?<![^ \n]-0))")
 
 
 def to_text(m: IntMatrix) -> str:
@@ -613,14 +602,16 @@ def to_text(m: IntMatrix) -> str:
 def from_text(text: str) -> IntMatrix:
     """Parse the sparse-triple format; exact inverse of :func:`to_text`.
 
-    Strict: a text outside `_ALPHABET` is refused at its first line with a
-    foreign character, each (i, j) appears at most once, and nothing but
-    blank lines may follow the terminator."""
+    Strict: a text outside `_ALPHABET` or with a `_LEADING_ZERO` is refused
+    at its first line with a foreign character or word, each (i, j) appears
+    at most once with a nonzero value, and nothing but blank lines may
+    follow the terminator."""
     lines = [ln for ln in text.split("\n") if ln.strip(" ")]
     if not lines:
         raise ValueError("empty matrix text")
-    if not _ALPHABET.fullmatch(text):
-        k = next(k for k, ln in enumerate(lines) if not _ALPHABET.fullmatch(ln))
+    if not _ALPHABET.fullmatch(text) or _LEADING_ZERO.search(text):
+        k = next(k for k, ln in enumerate(lines) if not _ALPHABET.fullmatch(ln)
+                 or _LEADING_ZERO.search(ln))
         raise ValueError(f"expected {3 if k else 2} integers, got line "
                          f"{lines[k].strip(' ')!r}")
     try:
@@ -647,5 +638,7 @@ def from_text(text: str) -> IntMatrix:
             raise ValueError(f"entry ({i}, {j}) out of bounds")
         if j - 1 in data[i - 1]:
             raise ValueError(f"duplicate entry ({i}, {j})")
+        if not v:
+            raise ValueError(f"zero entry ({i}, {j})")
         data[i - 1][j - 1] = v
     raise ValueError("missing 0 0 0 terminator")

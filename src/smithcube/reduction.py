@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb, isqrt
 
-from .bigmat import SIZE_CAP, IntMatrix, _Record, snf, two_adic_counts, valuation
+from .bigmat import SIZE_CAP, IntMatrix, _Record, snf, two_adic_counts
 from .canonical import _check_half, build_E, wilson_form
 from .cube import (_check_n, _laplacian_of, _require_even, adjacency,
                    graded_blocks, vertex_order)
@@ -434,43 +434,35 @@ def same_group(a: SmithGroupSummary, b: SmithGroupSummary) -> bool:
 # -- conjecture and Laplacian reports -------------------------------------
 
 
-def verify_conjecture(n: int, oracle_cap: int) -> bool:
-    """Multiplicity of 2^i among the 2-elementary divisors equals the count
-    of eigenvalues exactly divisible by 2^(i+1); n even.
+def _two_adic_table(counts: dict) -> dict:
+    """{e: multiplicity} of a multiset given as value -> multiplicity, where
+    e = v2(value) is the index of the value's lowest set bit."""
+    table: dict = {}
+    for x, c in counts.items():
+        e = (x & -x).bit_length() - 1
+        table[e] = table.get(e, 0) + c
+    return table
 
-    The divisor side is the summary of the elimination oracle up to
-    oracle_cap and of the structural route beyond it.
-    """
+
+def verify_conjecture(n: int, oracle_cap: int) -> bool:
+    """2^i occurs among the 2-elementary divisors as often as an eigenvalue
+    is exactly divisible by 2^(i+1), that is its half by 2^i, and the free
+    rank is the multiplicity of the eigenvalue 0; n even.  The divisor side
+    is the oracle's summary up to oracle_cap, the reduction's beyond it."""
     _require_even(n)
     summary = (smith_group_oracle(n) if n <= oracle_cap
                else smith_group_reduction(n))
-    divisor_side: dict = {}
-    for d, c in summary.nonzero.items():
-        e = valuation(d, 2)
-        divisor_side[e] = divisor_side.get(e, 0) + c
-    eigen_side: dict = {}
-    zero_eigen = 0
-    for v, cnt in eigenvalue_diagonal(n).items():
-        if v == 0:
-            zero_eigen += cnt
-        else:
-            i = valuation(v, 2) - 1
-            eigen_side[i] = eigen_side.get(i, 0) + cnt
-    return divisor_side == eigen_side and summary.free_rank == zero_eigen
+    eigen = eigenvalue_diagonal(n)
+    zero_eigen = eigen.pop(0)
+    return (_two_adic_table(summary.nonzero)
+            == _two_adic_table({v // 2: c for v, c in eigen.items()})
+            and summary.free_rank == zero_eigen)
 
 
-class LaplacianReport(_Record):
-    """Shared low 2-elementary divisor multiplicities of A and n*I - A."""
-    __slots__ = ("n", "s", "comparisons")  # (exponent, mult in A, mult in Laplacian)
-
-    @property
-    def ok(self) -> bool:
-        return all(a == b for _, a, b in self.comparisons)
-
-
-def laplacian_partial_check(n: int) -> LaplacianReport:
+def laplacian_partial_check(n: int) -> tuple:
     """For n = 2^s the adjacency and Laplacian matrices agree mod 2^s, so the
-    multiplicities of 2^i agree for i < s.  Both sides are counted exactly
+    multiplicities of 2^i agree for i < s: the (i, multiplicity in A,
+    multiplicity in nI - A) for each i < s.  Both sides are counted exactly
     over Z/2^s by `two_adic_counts`."""
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
@@ -478,4 +470,4 @@ def laplacian_partial_check(n: int) -> LaplacianReport:
     a = adjacency(n)
     counts_a = two_adic_counts(a, s)
     counts_l = two_adic_counts(_laplacian_of(a, n), s)
-    return LaplacianReport(n, s, tuple(zip(range(s), counts_a, counts_l)))
+    return tuple(zip(range(s), counts_a, counts_l))

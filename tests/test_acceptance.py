@@ -9,7 +9,7 @@ import time
 from math import comb
 
 from smithcube import cli
-from smithcube.bigmat import IntMatrix, from_text, snf, valuation
+from smithcube.bigmat import IntMatrix, from_text, snf
 from smithcube.canonical import build_E, verify_bier, wilson_form
 from smithcube.cube import adjacency, blocks, verify_half_lemma
 from smithcube.reduction import (build_condensed, eigenvalue_diagonal,
@@ -18,7 +18,7 @@ from smithcube.reduction import (build_condensed, eigenvalue_diagonal,
                                  verify_conjecture)
 from smithcube.subsets import incidence_matrix
 
-from grids import from_grid
+from grids import from_grid, valuation
 
 M4 = from_grid([[4, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
                 [0, 2, 0, 0, 0, 1, 1, 0, 1, 0, 0],

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import pickle
 import random
+import time
 import tracemalloc
 import typing
 from pathlib import Path
@@ -12,13 +13,12 @@ import pytest
 import smithcube
 from smithcube import bigmat
 from smithcube.bigmat import (SIZE_CAP, IntMatrix, InvariantFactors, from_text,
-                              snf, to_text, two_adic_counts, valuation)
+                              snf, to_text, two_adic_counts)
 from smithcube.cube import adjacency, blocks, laplacian, vertex_order
 from smithcube.reduction import (_factor_small, build_condensed,
-                                 laplacian_partial_check, reduce_condensed,
-                                 smith_group)
+                                 reduce_condensed, smith_group)
 
-from grids import from_grid
+from grids import from_grid, valuation
 
 
 def test_snf_coprime_diagonal():
@@ -76,8 +76,6 @@ RECORDS = {
     "ReductionStep": (lambda: reduce_condensed(build_condensed(3)),
                       ("odd_pivots", "even_residual", "odd_residual")),
     "SmithGroupSummary": (lambda: smith_group(4), ("n", "free_rank", "nonzero")),
-    "LaplacianReport": (lambda: laplacian_partial_check(4),
-                        ("n", "s", "comparisons")),
 }
 
 
@@ -162,6 +160,8 @@ def test_constructors_and_errors():
     m = from_grid([[1, 2], [3, 4]])
     assert m.transpose().transpose() == m
     assert IntMatrix.identity(2) @ m == m
+    assert IntMatrix.identity(0) == IntMatrix.zeros(0, 0)
+    assert IntMatrix.identity(3) == from_grid([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         m @ IntMatrix.identity(3)
     with pytest.raises(TypeError):
@@ -181,6 +181,14 @@ def test_from_rows_checks_its_column_count(cols, error):
     # zero_count -5 and write a header that from_text refuses
     with pytest.raises(error):
         IntMatrix.from_rows([{}], cols)
+
+
+@pytest.mark.parametrize("n, error", [(-3, ValueError), (True, TypeError),
+                                      (2.5, TypeError)])
+def test_identity_checks_its_side(n, error):
+    # built by from_rows, so no IntMatrix(0x-3) or IntMatrix(1xTrue)
+    with pytest.raises(error):
+        IntMatrix.identity(n)
 
 
 def test_annotations_resolve():
@@ -246,6 +254,15 @@ def test_text_parse_errors():
     with pytest.raises(ValueError, match="after the 0 0 0 terminator"):
         from_text("2 2\n0 0 0\n\n0 0 0\n")
     assert from_text("2 2\n1 1 5\n0 0 0\n\n  \n") == from_grid([[5, 0], [0, 0]])
+    # to_text writes no zero entry; bounds and duplicates are named first
+    with pytest.raises(ValueError, match=r"^zero entry \(1, 2\)$"):
+        from_text("2 2\n1 2 0\n0 0 0\n")
+    with pytest.raises(ValueError, match=r"^entry \(3, 1\) out of bounds$"):
+        from_text("2 2\n3 1 0\n0 0 0\n")
+    with pytest.raises(ValueError, match=r"^duplicate entry \(1, 1\)$"):
+        from_text("2 2\n1 1 5\n1 1 0\n0 0 0\n")
+    assert from_text("0 0\n0 0 0\n") == IntMatrix.zeros(0, 0)
+    assert from_text("2 0\n0 0 0\n") == IntMatrix.zeros(2, 0)
 
 
 @pytest.mark.parametrize("text, count, line", [
@@ -266,11 +283,29 @@ def test_text_parse_errors():
     ("2 2\n3 1 1\n1\t1 5\n0 0 0\n", 3, "1\t1 5"),
     ("2 2\n1 1 5\n1 1 5\n1\t1 5\n0 0 0\n", 3, "1\t1 5"),
     ("2 2\n0 0 0\n1\t1 5\n", 3, "1\t1 5"),
+    # int() reads a leading zero and -0, but to_text never writes them; such
+    # a word is refused like a foreign character, first line first
+    ("007 1\n0 0 0\n", 2, "007 1"), ("02 2\n0 0 0\n", 2, "02 2"),
+    ("2 2\n00 1 1\n0 0 0\n", 3, "00 1 1"), ("2 2\n1 1 -01\n0 0 0\n", 3, "1 1 -01"),
+    ("2 2\n1 1 -0\n0 0 0\n", 3, "1 1 -0"), ("2 2\n1 1 5\n-0 0 0\n", 3, "-0 0 0"),
+    ("2 2\n3 1 1\n1 1 05\n0 0 0\n", 3, "1 1 05"),
+    ("2 2\n1 2 07\n1\t1 5\n0 0 0\n", 3, "1 2 07"),
+    ("2 2\n1 1\t5\n1 2 07\n0 0 0\n", 3, "1 1\t5"),
 ])
 def test_text_parse_names_a_line_of_the_wrong_shape(text, count, line):
     with pytest.raises(ValueError) as err:
         from_text(text)
     assert str(err.value) == f"expected {count} integers, got line {line!r}"
+
+
+@pytest.mark.parametrize("line", ["1 1 " + "0" * 10 ** 6,
+                                  "1 1" + "0" * 10 ** 6 + " 07"],
+                         ids=["leading-zeros", "zeros-then-07"])
+def test_text_refuses_a_line_of_a_million_digits_in_linear_time(line):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^expected 3 integers, got line '1 1"):
+        from_text(f"1 1\n{line}\n0 0 0\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_text_header_side_is_capped_before_allocation():

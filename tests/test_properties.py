@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from smithcube import bigmat
 from smithcube.bigmat import (IntMatrix, _divisibility_chain, from_text, snf,
-                              to_text, two_adic_counts, valuation)
+                              to_text, two_adic_counts)
 from smithcube.reduction import (_binomial_row, _positional_merge,
-                                 invariant_factor_rle)
+                                 _two_adic_table, invariant_factor_rle)
 
-from grids import from_grid
+from grids import from_grid, valuation
 
 # small value -> multiplicity multisets, so the expanded diagonal stays short
 small_counts = st.dictionaries(st.integers(-60, 60).filter(bool),
@@ -37,24 +37,21 @@ def test_binomial_row_matches_comb(n, k):
     assert _binomial_row(n, k) == [comb(n, j) for j in range(k + 1)]
 
 
-@given(st.integers().filter(bool), st.integers(0, 400))
-def test_v2_matches_valuation(unit, shift):
-    # nonzero ints of either sign, with valuations up to past 400: the
-    # 2-adic valuation is the index of the lowest set bit
-    x = unit << shift
-    assert valuation(x, 2) == (x & -x).bit_length() - 1
+# nonzero ints of either sign up to 2^420 in absolute value, with 2-adic
+# valuations from 0 to 400
+two_adic_values = st.builds(lambda unit, shift: unit << shift,
+                            st.integers(-2 ** 20, 2 ** 20).filter(bool),
+                            st.integers(0, 400))
 
 
-def test_v2_of_zero_raises():
-    with pytest.raises(ValueError, match="valuation of zero"):
-        valuation(0, 2)
-
-
-@pytest.mark.parametrize("p", [1, 0, -1])
-def test_valuation_refuses_a_base_below_2(p):
-    # x % p is 0 for every x when p is 1 or -1, so the loop would never end
-    with pytest.raises(ValueError, match="base p >= 2"):
-        valuation(5, p)
+@given(st.dictionaries(two_adic_values, st.integers(0, 10 ** 30), max_size=8))
+def test_two_adic_table_matches_the_reference_valuation(counts):
+    # the lowest-set-bit tally against repeated division by 2
+    expected: dict = {}
+    for x, c in counts.items():
+        e = valuation(x, 2)
+        expected[e] = expected.get(e, 0) + c
+    assert _two_adic_table(counts) == expected
 
 
 @given(small_counts)
@@ -65,7 +62,7 @@ def test_invariant_factor_rle_matches_divisibility_chain(counts):
 
 @given(small_counts.filter(lambda c: any(c.values())))
 def test_positional_merge_matches_divisibility_chain(counts):
-    # tables built by bigmat.valuation, independent of the factorisation
+    # tables built by the tests' valuation, independent of the factorisation
     # invariant_factor_rle uses
     expanded = [abs(v) for v, c in counts.items() for _ in range(c)]
     tables = {}

@@ -5,18 +5,19 @@ from math import comb
 import pytest
 
 from smithcube import bigmat, canonical, cli, cube, reduction, subsets
-from smithcube.bigmat import IntMatrix, snf, valuation
+from smithcube.bigmat import IntMatrix, snf
 from smithcube.canonical import wilson_form
 from smithcube.cube import adjacency, blocks
-from smithcube.reduction import (CondensedMatrix, build_B, build_condensed,
-                                 eigenvalue_diagonal, invariant_factor_rle,
+from smithcube.reduction import (CondensedMatrix, SmithGroupSummary, build_B,
+                                 build_condensed, eigenvalue_diagonal,
+                                 invariant_factor_rle,
                                  laplacian_partial_check, reduce_condensed,
                                  same_group, smith_group, smith_group_oracle,
                                  smith_group_reduction, stacked_basis,
                                  two_local_divisors_of_M, verify_conjecture)
 from smithcube.subsets import count_full_rank
 
-from grids import from_grid
+from grids import from_grid, valuation
 
 # displayed conjugated half block for the 4-cube
 B4 = from_grid([[4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -379,6 +380,44 @@ def test_conjecture_above_cap_checks_the_reduction(monkeypatch):
     assert not verify_conjecture(n, oracle_cap=8)
 
 
+def _moved(counts: dict, source: int, target: int, amount: int) -> dict:
+    """counts with `amount` of the multiplicity of `source` moved to `target`."""
+    out = dict(counts)
+    out[source] -= amount
+    out[target] = out.get(target, 0) + amount
+    return out
+
+
+def _changed(monkeypatch, name: str, change) -> None:
+    """reduction's function `name` with `change` applied to its answers."""
+    original = getattr(reduction, name)
+    monkeypatch.setattr(reduction, name, lambda n: change(original(n)))
+
+
+@pytest.mark.parametrize("name, change", [
+    ("smith_group_oracle",
+     lambda s: SmithGroupSummary(s.n, s.free_rank, _moved(s.nonzero, 2, 4, 2))),
+    ("eigenvalue_diagonal", lambda d: _moved(d, 2, 4, 1)),
+    ("smith_group_oracle",
+     lambda s: SmithGroupSummary(s.n, s.free_rank + 1, s.nonzero)),
+], ids=["divisor-pair-2-to-4", "eigenvalue-2-to-4", "free-rank-plus-1"])
+def test_conjecture_below_cap_checks_the_oracle(monkeypatch, name, change):
+    # below the cap the divisor side is the oracle's summary; each change
+    # keeps the number of nonzero entries on its side
+    _changed(monkeypatch, name, change)
+    assert not verify_conjecture(8, oracle_cap=8)
+
+
+def test_conjecture_reports_a_zero_divisor_as_a_mismatch(monkeypatch, capsys):
+    # a zero key, which only a faulty route could hand over, has no 2-adic
+    # exponent; the tally files it under -1, which no eigenvalue reaches
+    _changed(monkeypatch, "smith_group_oracle", lambda s: SmithGroupSummary(
+        s.n, s.free_rank, _moved(s.nonzero, 2, 0, 2)))
+    assert not verify_conjecture(8, oracle_cap=8)
+    assert cli.main(["verify", "conjecture", "8"]) == 2
+    assert '"status":"mismatch"' in capsys.readouterr().out
+
+
 def test_eigenvalue_diagonal():
     assert eigenvalue_diagonal(2) == {2: 1, 0: 2, -2: 1}
     assert sum(eigenvalue_diagonal(7).values()) == 128
@@ -405,8 +444,8 @@ def test_closed_form_row_does_not_reach_the_eigen_side(monkeypatch, capsys, cap)
 # what every route may use: the basics of the exact integer layer, the
 # immutable record base and the summary each route returns; no route's
 # helper list may name one of these
-SHARED = frozenset({"IntMatrix", "_check_entries", "_pairs", "valuation",
-                    "_Record", "SmithGroupSummary"})
+SHARED = frozenset({"IntMatrix", "_check_entries", "_pairs", "_Record",
+                    "SmithGroupSummary"})
 
 # each route's entry point and the private helpers that only it may call
 ROUTES = {
@@ -446,9 +485,9 @@ def test_each_route_answers_without_the_helpers_of_the_others(monkeypatch, route
 
 def test_laplacian_partial():
     for n in (2, 4, 8):
-        rep = laplacian_partial_check(n)
-        assert rep.ok
-        assert len(rep.comparisons) == rep.s
+        comparisons = laplacian_partial_check(n)
+        assert [i for i, _, _ in comparisons] == list(range(n.bit_length() - 1))
+        assert all(a == b for _, a, b in comparisons)
     with pytest.raises(ValueError):
         laplacian_partial_check(6)
 
@@ -461,9 +500,7 @@ def test_laplacian_check_sees_one_changed_entry(monkeypatch, capsys):
         side = 1 << n
         return original(a, n) + IntMatrix.from_rows([{0: 1}] + [{}] * (side - 1), side)
     monkeypatch.setattr(reduction, "_laplacian_of", bumped)
-    rep = laplacian_partial_check(8)
-    assert not rep.ok
-    assert rep.comparisons[0] == (0, 128, 129)
+    assert laplacian_partial_check(8)[0] == (0, 128, 129)
     assert cli.main(["verify", "laplacian", "8"]) == 2
     assert '"status":"mismatch"' in capsys.readouterr().out
 
