@@ -37,6 +37,13 @@ def _check_entries(values) -> None:
             raise TypeError(f"non-integer entry {x!r}")
 
 
+def _check_count(count, name: str) -> None:
+    if type(count) is not int:
+        raise TypeError(f"non-integer {name} count {count!r}")
+    if count < 0:
+        raise ValueError("negative dimensions")
+
+
 def _pairs(row: dict) -> tuple:
     """The nonzero (col, value) pairs of a {col: value} row, in column order."""
     return tuple(sorted(filter(itemgetter(1), row.items())))
@@ -109,10 +116,7 @@ class IntMatrix(_Record):
         """Matrix with one {col: value} dict per row, the one builder.
         `cols` is a plain int >= 0, values are ints (bool is refused),
         columns lie in 0..cols-1 and zero values are dropped."""
-        if type(cols) is not int:
-            raise TypeError(f"non-integer column count {cols!r}")
-        if cols < 0:
-            raise ValueError("negative dimensions")
+        _check_count(cols, "column")
         data = []
         for row in rows:
             _check_entries(row.values())
@@ -126,8 +130,8 @@ class IntMatrix(_Record):
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
+        _check_count(rows, "row")
+        _check_count(cols, "column")
         return cls._stored(((),) * rows, cols)
 
     @classmethod
@@ -262,13 +266,15 @@ class IntMatrix(_Record):
 
 
 class InvariantFactors(_Record):
-    """Invariant factor chain d_1 | d_2 | ... | d_r, all positive."""
+    """Invariant factors d_1 | ... | d_r, all positive, and zero_count >= 0."""
     __slots__ = ("factors", "zero_count")
 
     def validate(self) -> None:
-        f = self.factors
-        if any(d < 1 for d in f):
-            raise ValueError("invariant factors must be positive")
+        f, z = self.factors, self.zero_count
+        if type(f) is not tuple or not set(map(type, (*f, z))) <= _PLAIN_INT:
+            raise TypeError("factors must be a tuple of ints, zero_count an int")
+        if z < 0 or any(d < 1 for d in f):
+            raise ValueError("factors must be positive and zero_count >= 0")
         for a, b in zip(f, f[1:]):
             if b % a:
                 raise ValueError(f"divisibility chain broken: {a} does not divide {b}")
@@ -278,6 +284,12 @@ def _packed(m: IntMatrix, width: int) -> list:
     """Each row of m as one int, the entry in column c at bits width*c on,
     as an exact signed sum."""
     return [sum(v << c * width for c, v in row) for row in m._data]
+
+
+def _combine(pairs: tuple, rows: list) -> int:
+    """The sum of v * rows[c] over the (c, v) pairs, for packed rows; a unit
+    v adds its row as it is, since multiplying a packed row by 1 copies it."""
+    return sum(rows[c] if v == 1 else v * rows[c] for c, v in pairs)
 
 
 def _divisibility_chain(entries: Iterable[int]) -> list:
@@ -545,6 +557,8 @@ def two_adic_counts(m: IntMatrix, e: int) -> tuple:
     then every slot is even and every row shifts right by one bit, which
     halves every slot, and the next level starts with k - 1 bits.
     """
+    if type(e) is not int:
+        raise TypeError(f"e must be an int, got {e!r}")
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")
     width = 2 * e + 1

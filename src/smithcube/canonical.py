@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .bigmat import SIZE_CAP, IntMatrix, _packed
+from .bigmat import SIZE_CAP, IntMatrix, _combine, _packed
 from .subsets import (NONZERO_CAP, _check_side, count_full_rank,
                       enumerate_subsets, has_full_rank, incidence_matrix)
 
@@ -22,19 +22,15 @@ def _check_half(n: int, k: int) -> None:
     _check_side(n, k)
 
 
-def _check_sizes(n: int, t: int, k: int) -> None:
+def wilson_diagonal(n: int, t: int, k: int) -> tuple:
+    """Diagonal of Wilson's form for the (t,k) inclusion matrix: entries
+    C(k-j, t-j) with multiplicity C(n,j) - C(n,j-1), for j = 0..t, in
+    block order."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if t > k:
         raise ValueError(f"need t <= k, got t={t}, k={k}")
     _check_half(n, k)
-
-
-def wilson_diagonal(n: int, t: int, k: int) -> tuple:
-    """Diagonal of Wilson's form for the (t,k) inclusion matrix: entries
-    C(k-j, t-j) with multiplicity C(n,j) - C(n,j-1), for j = 0..t, in
-    block order."""
-    _check_sizes(n, t, k)
     return tuple(comb(k - j, t - j) for j in range(t + 1)
                  for _ in range(count_full_rank(n, j)))
 
@@ -56,12 +52,6 @@ def wilson_form(n: int, t: int, k: int) -> IntMatrix:
     return IntMatrix.from_rows(({i: e} for i, e in enumerate(entries)), comb(n, k))
 
 
-def _combine(pairs: tuple, rows: list) -> int:
-    """The sum of v * rows[c] over the (c, v) pairs; v is 1 in every true
-    inclusion matrix, and multiplying a packed row by 1 would copy it."""
-    return sum(rows[c] if v == 1 else v * rows[c] for c, v in pairs)
-
-
 def verify_bier(n: int) -> list:
     """The pairs [t, k], t <= k <= n/2, for which Bier's identity
     E_t * W_{t,k} = D_{t,k} * E_k fails, k then t ascending.
@@ -75,12 +65,10 @@ def verify_bier(n: int) -> list:
     count fails the pair.  Each W_{a,b}, a <= b <= n/2, is built once and
     all are held at once, so their nonzeros, sum_b C(n, b) 2^b in all, are
     held to the cap of one W.  For each k the rows of every W_{a,k} are
-    packed into ints at one slot width.  An entry of the left side is at
-    most the largest absolute row sum of W_{j,t} times the largest
-    |W_{t,k}|, one of the right side at most the largest |d| times the
-    largest |W_{j,k}|; the width is two bits wider than their largest sum
-    over all (j, t, k), so no slot of the difference reaches its range and
-    equal packed rows have equal entries.
+    packed into ints at one slot width: with P the largest |entry| and R
+    the largest absolute row sum of all the W, and D the largest |d|, no
+    entry of the difference of the two sides exceeds (R + D) * P, and the
+    width is two bits wider, so equal packed rows have equal entries.
     """
     half = n // 2
     _check_half(n, half)  # refuse before any matrix is built
@@ -92,14 +80,11 @@ def verify_bier(n: int) -> list:
     w = {(a, b): incidence_matrix(n, a, b) for b in range(half + 1)
          for a in range(b + 1)}
     d = {pair: wilson_diagonal(n, *pair) for pair in w}
-    peak, row_sum = {}, {}
-    for pair, m in w.items():
-        rows = [[abs(v) for _, v in m.pairs(i)] for i in range(m.rows)]
-        peak[pair] = max(map(max, filter(None, rows)), default=0)
-        row_sum[pair] = max(map(sum, rows), default=0)
-    width = max(row_sum[j, t] * peak[t, k]
-                + max(map(abs, d[t, k]), default=0) * peak[j, k]
-                for t, k in w for j in range(t + 1)).bit_length() + 2
+    rows = [m.pairs(i) for m in w.values() for i in range(m.rows)]
+    peak = max((abs(v) for row in rows for _, v in row), default=0)
+    row_sum = max((sum(abs(v) for _, v in row) for row in rows), default=0)
+    d_peak = max((abs(x) for diagonal in d.values() for x in diagonal), default=0)
+    width = ((row_sum + d_peak) * peak).bit_length() + 2
     full = [(j, i) for j in range(half + 1)
             for i, s in enumerate(enumerate_subsets(n, j)) if has_full_rank(s)]
     failures = []

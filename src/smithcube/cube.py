@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import comb
 
-from .bigmat import SIZE_CAP, IntMatrix, _Record, _packed
+from .bigmat import SIZE_CAP, IntMatrix, _Record, _combine, _packed
 from .subsets import incidence_matrix
 
 
@@ -88,18 +88,18 @@ def verify_conjugacy(n: int) -> bool:
     of S) takes monomials to vertex indicators, so both matrices represent
     the same map.  Each row is packed into one int, column c at bits w*c as
     an exact signed sum; Z's rows and Z * Atilde's are subset sums, and row
-    S of A * Z is the sum of A[S, T] * Z[T], so Z's 3^n nonzeros are never
-    listed.  An entry of A * Z is at most A's largest absolute row sum and
-    one of Z * Atilde at most Atilde's largest absolute column sum; w is two
-    bits wider than both, so no slot reaches half its range and two packed
-    rows are equal exactly when they are equal slot by slot."""
+    S of A * Z, the sum of A[S, T] * Z[T], is `_combine` of Z's rows in
+    vertex order, so Z's 3^n nonzeros are never listed.  An entry of A * Z
+    is at most A's largest absolute row sum and one of Z * Atilde at most
+    Atilde's largest absolute column sum; w is two bits wider than both, so
+    equal packed rows have equal entries."""
     a, at, order = adjacency(n), monomial_adjacency(n), vertex_order(n)
     w = max(sum(abs(v) for _, v in m.pairs(i)) for m in (a, at.transpose())
             for i in range(m.rows)).bit_length() + 2
     z = _subset_sums(n, (1 << w * c for c in range(1 << n)))
+    z = [z[s] for s in order]
     zat = _subset_sums(n, _packed(at, w))
-    return all(sum(v * z[order[c]] for c, v in a.pairs(i)) == zat[s]
-               for i, s in enumerate(order))
+    return all(_combine(a.pairs(i), z) == zat[s] for i, s in enumerate(order))
 
 
 def graded_blocks(n: int, row_sizes, col_sizes, up) -> IntMatrix:

@@ -60,10 +60,16 @@ def test_diagonal_form_sign_invariance():
 
 
 def test_invariant_factors_validation():
-    with pytest.raises(ValueError):
-        InvariantFactors((2, 3), 0)
-    with pytest.raises(ValueError):
-        InvariantFactors((0, 2), 0)
+    for factors, zero_count, error in [
+            ((2, 3), 0, ValueError), ((0, 2), 0, ValueError),
+            ((1, 2), -3, ValueError),
+            ((1, 2), True, TypeError), ((1, 2), 2.0, TypeError),
+            # a list would leave the record unhashable and its checked
+            # chain open to appends
+            ([1, 2], 0, TypeError), ((1, True), 0, TypeError),
+            ((1, 2.0), 0, TypeError)]:
+        with pytest.raises(error):
+            InvariantFactors(factors, zero_count)
 
 
 # one instance of each immutable record, with its field names
@@ -141,8 +147,10 @@ def test_two_adic_counts_edges():
     assert two_adic_counts(IntMatrix.diagonal([8, 8]), 4) == (0, 0, 0, 2)
     assert two_adic_counts(IntMatrix.zeros(0, 3), 2) == (0, 0)
     assert two_adic_counts(IntMatrix.zeros(3, 0), 2) == (0, 0)
-    for e in (0, -1):
-        with pytest.raises(ValueError):
+    # True would run as e = 1, and 2.5 would fail inside a shift
+    for e, error in [(0, ValueError), (-1, ValueError), (True, TypeError),
+                     (2.5, TypeError)]:
+        with pytest.raises(error, match="^e must be"):
             two_adic_counts(IntMatrix.identity(2), e)
 
 
@@ -189,6 +197,17 @@ def test_identity_checks_its_side(n, error):
     # built by from_rows, so no IntMatrix(0x-3) or IntMatrix(1xTrue)
     with pytest.raises(error):
         IntMatrix.identity(n)
+
+
+@pytest.mark.parametrize("rows, cols, error", [
+    (2, True, TypeError), (True, 3, TypeError), (2.5, 1, TypeError),
+    (2, -1, ValueError), (-1, 2, ValueError),
+])
+def test_zeros_checks_both_dimensions(rows, cols, error):
+    # checked like from_rows' column count: no IntMatrix(2xTrue), and
+    # zeros(True, 3) is not a one-row matrix
+    with pytest.raises(error):
+        IntMatrix.zeros(rows, cols)
 
 
 def test_annotations_resolve():
