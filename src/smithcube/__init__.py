@@ -2,7 +2,7 @@
 
 from .bigmat import IntMatrix, InvariantFactors, from_text, snf, to_text
 from .canonical import build_E, verify_bier, wilson_diagonal, wilson_form
-from .cube import (BlockPair, adjacency, blocks, laplacian, monomial_adjacency,
+from .cube import (adjacency, build_M, build_N, laplacian, monomial_adjacency,
                    verify_conjugacy, verify_half_lemma)
 from .reduction import (CondensedMatrix, SmithGroupSummary, build_B,
                         build_condensed, laplacian_partial_check,

@@ -334,22 +334,22 @@ def _unpack_row(row: int, bias: int, width: int) -> list:
     return memoryview(raw).cast("q").tolist()
 
 
-def _packed_tail(rows: dict, cols: dict, diag: list) -> None:
-    """Finish `_eliminate` on packed rows: each active row becomes one int
-    with a slot per active column, so a row update R - q*P is one big-int
-    expression instead of one Python step per cell.
-
-    Each row keeps a bound on its largest |entry|, and an update adds |q|
-    times the pivot row's bound to it.  A bound that reaches _SLOT_LIMIT is
-    first made exact by unpacking both rows; if it still reaches it, the
-    rows go back into `rows` and `cols` as dicts and the caller's dict loop
-    finishes.  If an entry is already that large, nothing is packed.  On
-    success, the nonzero diagonal entries go to `diag` and both dicts end
-    empty.
+def _packed_tail(rows: dict, cols: dict) -> tuple:
+    """Go on with `_eliminate` on packed rows, writing neither argument:
+    each active row becomes one int with a slot per active column, so a row
+    update R - q*P is one big-int expression instead of one Python step per
+    cell.  Each row keeps a bound on its largest |entry|, and an update adds
+    |q| times the pivot row's bound to it; a bound that reaches _SLOT_LIMIT
+    is first made exact by unpacking both rows.
+    Returns (found, rest): the nonzero diagonal entries produced and the
+    {key: row} dicts left for the dict loop.  `rest` is `rows` itself if an
+    entry already reaches _SLOT_LIMIT, so nothing is packed; the unpacked
+    rows keyed by their packed position if an exact bound still reaches it;
+    and empty if the block is finished.
     """
     bound = [max(map(abs, row.values())) for row in rows.values()]
     if max(bound) >= _SLOT_LIMIT:
-        return
+        return [], rows
     order = sorted(cols)
     slot = {c: k for k, c in enumerate(order)}
     width = len(order)
@@ -360,8 +360,7 @@ def _packed_tail(rows: dict, cols: dict, diag: list) -> None:
         for c, v in row.items():
             values[slot[c]] = v
         packed.append(_pack_row(values, bias))
-    rows.clear()
-    cols.clear()
+    found = []
     while packed:
         # the pivot row has the least bound, and the pivot is its entry of
         # least |value|
@@ -396,8 +395,9 @@ def _packed_tail(rows: dict, cols: dict, diag: list) -> None:
                         b = (max(map(abs, _unpack_row(packed[r], bias, width)))
                              + abs(q) * bound[pr])
                         if b >= _SLOT_LIMIT:
-                            _unpacked(packed, order, bias, rows, cols)
-                            return
+                            return found, {i: {c: v for c, v in zip(
+                                order, _unpack_row(r, bias, width)) if v}
+                                for i, r in enumerate(packed) if r}
                     packed[r] -= q * prow
                     # a row that turns zero is dropped at the next pivot
                     bound[r] = b if packed[r] else 0
@@ -419,22 +419,22 @@ def _packed_tail(rows: dict, cols: dict, diag: list) -> None:
                     if x:
                         rest.append(c)
             if not rest:
-                diag.append(p)
+                found.append(p)
                 del packed[pr], bound[pr]
                 break
             packed[pr] = _pack_row(values, bias)
             bound[pr] = max(map(abs, values))
             pc = min(rest, key=lambda c: abs(values[c]))
+    return found, {}
 
 
-def _unpacked(packed: list, order: list, bias: int, rows: dict, cols: dict) -> None:
-    """Put packed rows back into the dict form of `_eliminate`."""
-    for i, r in enumerate(packed):
-        row = {order[k]: v for k, v in enumerate(_unpack_row(r, bias, len(order))) if v}
-        if row:
-            rows[i] = row
-            for c in row:
-                cols.setdefault(c, set()).add(i)
+def _column_index(rows: dict) -> dict:
+    """The column -> row-key set index of `_eliminate`'s {key: row} dicts."""
+    cols: dict = {}
+    for i, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(i)
+    return cols
 
 
 def _eliminate(m: IntMatrix) -> list:
@@ -462,20 +462,18 @@ def _eliminate(m: IntMatrix) -> list:
     already does when the phase starts, leaves the block to this dict loop,
     so the answer is exact for every input.
     """
-    rows: dict = {}
-    cols: dict = {}
-    for i, row in enumerate(m._data):
-        if row:
-            rows[i] = dict(row)
-            for j, _ in row:
-                cols.setdefault(j, set()).add(i)
+    rows = {i: dict(row) for i, row in enumerate(m._data) if row}
+    cols = _column_index(rows)
     diag = []
     dense = False
     while rows:
         if not dense and (sum(map(len, rows.values()))
                           >= _DENSE_FILL * len(rows) * len(cols)):
             dense = True
-            _packed_tail(rows, cols, diag)
+            found, rest = _packed_tail(rows, cols)
+            diag += found
+            if rest is not rows:  # a fresh index of rows may reorder its sets
+                rows, cols = rest, _column_index(rest)
             continue
         # rows are never re-inserted, so dict order is index order and this
         # is the first shortest row

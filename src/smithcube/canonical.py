@@ -15,6 +15,8 @@ from .subsets import (NONZERO_CAP, _check_side, count_full_rank,
 
 def _check_half(n: int, k: int) -> None:
     """0 <= k <= n/2, and C(n, k), the largest of C(n, 0..k), within the cap."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if 2 * k > n:

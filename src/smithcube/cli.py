@@ -132,8 +132,8 @@ _MATRICES = {
     "adjacency": (1, lambda n: cube.adjacency(n)),
     "monomial": (1, lambda n: cube.monomial_adjacency(n)),
     "laplacian": (1, lambda n: cube.laplacian(n)),
-    "M": (1, lambda n: cube.blocks(n).M),
-    "N": (1, lambda n: cube.blocks(n).N),
+    "M": (1, lambda n: cube.build_M(n)),
+    "N": (1, lambda n: cube.build_N(n)),
     "B": (1, lambda n: reduction.build_B(n)),
     "W": (3, lambda n, t, k: subsets.incidence_matrix(n, t, k)),
     "E": (2, lambda n, k: canonical.build_E(n, k)),

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import comb
 
-from .bigmat import SIZE_CAP, IntMatrix, _Record, _combine, _packed
+from .bigmat import SIZE_CAP, IntMatrix, _combine, _packed
 from .subsets import incidence_matrix
 
 
@@ -34,11 +34,6 @@ def vertex_order(n: int) -> tuple:
     """All subset masks of {1..n}, sorted by (popcount, value)."""
     # the sort is stable, so each size keeps increasing (colex) order
     return tuple(sorted(range(1 << n), key=int.bit_count))
-
-
-class BlockPair(_Record):
-    """The two diagonal half blocks of the monomial-basis matrix, n even."""
-    __slots__ = ("n", "M", "N")
 
 
 def adjacency(n: int) -> IntMatrix:
@@ -127,40 +122,42 @@ def graded_blocks(n: int, row_sizes, col_sizes, up) -> IntMatrix:
     return IntMatrix.from_rows(rows(), ends[-1])
 
 
-def blocks(n: int) -> BlockPair:
-    """Assemble the two half blocks of the monomial-basis matrix (n even).
-
-    M covers sizes 0..m in colex order.  N covers sizes m..n with each
-    size listed as the complements of the (n-i)-subsets in colex order, i.e.
-    in decreasing mask order; complementing reverses inclusion, so N's block
-    from size i to i+1 is W_{n-i,n-i-1}.
-    """
+def build_M(n: int) -> IntMatrix:
+    """The lower half block of the monomial-basis matrix (n even): sizes
+    0..m in colex order, the block from size i to i+1 being W_{i,i+1}."""
     m = _require_even(n)
     _check_n(n)
-    m_block = graded_blocks(n, range(m), range(m + 1),
-                            lambda i: incidence_matrix(n, i, i + 1))
-    n_block = graded_blocks(n, range(m, n + 1), range(m + 1, n + 1),
-                            lambda i: incidence_matrix(n, n - i, n - i - 1))
-    return BlockPair(n, m_block, n_block)
+    return graded_blocks(n, range(m), range(m + 1),
+                         lambda i: incidence_matrix(n, i, i + 1))
 
 
-def _replay(pair: BlockPair) -> bool:
+def build_N(n: int) -> IntMatrix:
+    """The upper half block of the monomial-basis matrix (n even): sizes
+    m..n with each size listed as the complements of the (n-i)-subsets in
+    colex order, i.e. in decreasing mask order; complementing reverses
+    inclusion, so the block from size i to i+1 is W_{n-i,n-i-1}."""
+    m = _require_even(n)
+    _check_n(n)
+    return graded_blocks(n, range(m, n + 1), range(m + 1, n + 1),
+                         lambda i: incidence_matrix(n, n - i, n - i - 1))
+
+
+def _replay(n: int, m_block: IntMatrix, n_block: IntMatrix) -> bool:
     """Turn N around and compare it with M: N's block row of size i, offset
     p, is M's block column n-i, offset p, its block column of size k, offset
     q, M's block row n-k, offset q, and each entry picks up -(-1)^(i+k)."""
-    n, m = pair.n, pair.n // 2
-    ends = list(accumulate((comb(n, s) for s in range(m + 1)), initial=0))
+    ends = list(accumulate((comb(n, s) for s in range(n // 2 + 1)), initial=0))
     cols, rows = ([(ends[n - s] + p, (-1) ** s) for s in range(lo, n + 1)
-                   for p in range(comb(n, s))] for lo in (m, m + 1))
+                   for p in range(comb(n, s))] for lo in (n // 2, n // 2 + 1))
     out: list = [{} for _ in rows]
     for i, (c, sc) in enumerate(cols):
-        for j, v in pair.N.pairs(i):
+        for j, v in n_block.pairs(i):
             r, sr = rows[j]
             out[r][c] = -sr * sc * v
-    return IntMatrix.from_rows(out, len(cols)) == pair.M
+    return IntMatrix.from_rows(out, len(cols)) == m_block
 
 
 def verify_half_lemma(n: int) -> bool:
     """M = D1 (P N Q)^t D2 with +-1 diagonals D1, D2 and permutations P, Q,
     all unimodular, hence M and N^t have the same Smith normal form."""
-    return _replay(blocks(n))
+    return _replay(n, build_M(n), build_N(n))

@@ -97,6 +97,8 @@ class CondensedMatrix(_Record):
     def validate(self) -> None:
         m, top = self.m, 1 << self.precision
         weights = self.row_weights
+        if m < 0:
+            raise ValueError(f"m must be >= 0, got {m}")
         # distinct keys, as many as labels and each in range: exactly the labels
         if (len(weights) != m * (m + 1) // 2
                 or not all(1 <= k <= i <= m for i, k in weights)):
@@ -249,7 +251,7 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
     return ReductionStep(
         tuple(odd_out),
         CondensedMatrix(m // 2, c.precision - 1, even_entries, even_weights),
-        CondensedMatrix((m - 1) // 2, c.precision - 1, odd_entries, odd_weights))
+        CondensedMatrix(max(m - 1, 0) // 2, c.precision - 1, odd_entries, odd_weights))
 
 
 def two_local_divisors_of_M(n: int) -> dict:

@@ -11,7 +11,7 @@ from math import comb
 from smithcube import cli
 from smithcube.bigmat import IntMatrix, from_text, snf
 from smithcube.canonical import build_E, verify_bier, wilson_form
-from smithcube.cube import adjacency, blocks, verify_half_lemma
+from smithcube.cube import adjacency, build_M, verify_half_lemma
 from smithcube.reduction import (build_condensed, eigenvalue_diagonal,
                                  reduce_condensed, same_group, smith_group,
                                  smith_group_oracle, two_local_divisors_of_M,
@@ -118,7 +118,7 @@ def test_criterion_05_inclusion_smith_data():
 def test_criterion_06_half_block_symmetry():
     for n in (2, 4, 6, 8):
         assert verify_half_lemma(n), n
-        grid = blocks(n).M.row_lists()
+        grid = build_M(n).row_lists()
         pad = [0] * len(grid[0])
         doubled = snf(from_grid([row + pad for row in grid] +
                                 [pad + row for row in grid]))
@@ -140,7 +140,7 @@ def _two_adic_tally(m):
 
 def test_criterion_07_condensed_reduction():
     for n in (2, 4, 6, 8, 10):
-        assert two_local_divisors_of_M(n) == _two_adic_tally(blocks(n).M), n
+        assert two_local_divisors_of_M(n) == _two_adic_tally(build_M(n)), n
     for m in range(1, 65):
         stack = [build_condensed(m)]
         while stack:

@@ -14,7 +14,7 @@ import smithcube
 from smithcube import bigmat
 from smithcube.bigmat import (SIZE_CAP, IntMatrix, InvariantFactors, from_text,
                               snf, to_text, two_adic_counts)
-from smithcube.cube import adjacency, blocks, laplacian, vertex_order
+from smithcube.cube import adjacency, laplacian, vertex_order
 from smithcube.reduction import (_factor_small, build_condensed,
                                  reduce_condensed, smith_group)
 
@@ -76,7 +76,6 @@ def test_invariant_factors_validation():
 RECORDS = {
     "InvariantFactors": (lambda: InvariantFactors((1, 6), 0),
                          ("factors", "zero_count")),
-    "BlockPair": (lambda: blocks(2), ("n", "M", "N")),
     "CondensedMatrix": (lambda: build_condensed(3),
                         ("m", "precision", "entries", "row_weights")),
     "ReductionStep": (lambda: reduce_condensed(build_condensed(3)),
@@ -379,12 +378,26 @@ def _spied(monkeypatch, name):
     return calls
 
 
+def _handed_back(monkeypatch):
+    """The number of rows each `_packed_tail` call hands back, read as it
+    returns, before the dict loop consumes them."""
+    sizes = []
+    real = bigmat._packed_tail
+
+    def spy(rows, cols):
+        found, rest = real(rows, cols)
+        sizes.append(len(rest))
+        return found, rest
+    monkeypatch.setattr(bigmat, "_packed_tail", spy)
+    return sizes
+
+
 def test_packed_tail_finishes_a_dense_block(monkeypatch):
     # forced from the first pivot on, the packed rows give A(6)'s closed form
     monkeypatch.setattr(bigmat, "_DENSE_FILL", 0)
-    packs, hand_backs = _spied(monkeypatch, "_pack_row"), _spied(monkeypatch, "_unpacked")
+    packs, hand_backs = _spied(monkeypatch, "_pack_row"), _handed_back(monkeypatch)
     assert snf(adjacency(6)) == InvariantFactors((1,) * 32 + (2,) * 10 + (6,) * 2, 20)
-    assert packs and not hand_backs
+    assert packs and hand_backs == [0]
 
 
 def test_packed_tail_hands_back_at_the_slot_limit(monkeypatch):
@@ -392,9 +405,45 @@ def test_packed_tail_hands_back_at_the_slot_limit(monkeypatch):
     # would add 3 * 2^61 to the other row: the bound stays at 2^62 once
     # made exact, so the block goes back to the dict loop
     monkeypatch.setattr(bigmat, "_DENSE_FILL", 0)
-    hand_backs = _spied(monkeypatch, "_unpacked")
+    hand_backs = _handed_back(monkeypatch)
     assert snf(from_grid([[1, 2 ** 61], [3, 0]])) == InvariantFactors((1, 3 * 2 ** 61), 0)
-    assert len(hand_backs) == 1
+    assert hand_backs == [2]
+
+
+def _random_draw(seed, n=300, density=0.02):
+    """An n x n matrix in which each cell, with probability `density`, is
+    drawn from -2..2."""
+    rng = random.Random(seed)
+    return IntMatrix.from_rows(({c: v for c in range(n) if rng.random() < density
+                                 for v in (rng.randint(-2, 2),) if v}
+                                for _ in range(n)), n)
+
+
+def test_packed_tail_hands_back_many_rows(monkeypatch):
+    # the fill passes 2^62 with 54 rows still active, and the dict loop
+    # finishes them with the rows keyed by their packed positions
+    m = _random_draw(1)
+    hand_backs = _handed_back(monkeypatch)
+    answer = snf(m)
+    assert hand_backs == [54]
+    monkeypatch.setattr(bigmat, "_DENSE_FILL", float("inf"))
+    assert snf(m) == answer and hand_backs == [54]
+
+
+@pytest.mark.parametrize("grid, left", [
+    ([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], 0),  # finishes
+    ([[2 ** 62, 1], [1, 1]], None),  # packs nothing
+    ([[1, 2 ** 61], [3, 0]], 2)])  # hands back
+def test_packed_tail_writes_neither_argument(grid, left):
+    rows = {i: dict(from_grid(grid).pairs(i)) for i in range(len(grid))}
+    cols = bigmat._column_index(rows)
+    before = copy.deepcopy((rows, cols))
+    found, rest = bigmat._packed_tail(rows, cols)
+    assert (rows, cols) == before
+    if left is None:
+        assert (found, rest) == ([], rows) and rest is rows
+    else:
+        assert len(rest) == left
 
 
 def test_packed_tail_packs_nothing_with_an_entry_at_the_slot_limit(monkeypatch):

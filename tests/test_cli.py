@@ -229,10 +229,32 @@ def test_negative_size_is_usage_error(capsys):
     for argv, message in ((("Estack", "4", "-1"), "k must be >= 0, got -1"),
                           (("E", "4", "-1"), "k must be >= 0, got -1"),
                           (("D", "4", "-1", "1"), "t must be >= 0, got -1"),
-                          (("D", "4", "0", "-1"), "need t <= k, got t=0, k=-1")):
+                          (("D", "4", "0", "-1"), "need t <= k, got t=0, k=-1"),
+                          # a negative n was once blamed on k
+                          (("E", "-2", "0"), "n must be >= 0, got -2"),
+                          (("Estack", "-1", "0"), "n must be >= 0, got -1"),
+                          (("D", "-1", "0", "0"), "n must be >= 0, got -1")):
         code, out, err = run(capsys, "matrix", *argv)
         assert (code, out) == (1, ""), argv
         assert err == f"error: {message}\n", argv
+
+
+def test_half_block_builds_only_its_own_inclusion_matrices(capsys, monkeypatch):
+    # M's block from size i to i+1 is W_{i,i+1}, i < n/2, and N's is
+    # W_{n-i,n-i-1}, n/2 <= i < n; neither command builds the other block
+    asked = []
+    real = cube.incidence_matrix
+
+    def spy(n, t, k):
+        asked.append((t, k))
+        return real(n, t, k)
+    monkeypatch.setattr(cube, "incidence_matrix", spy)
+    for kind, expected in (("M", [(0, 1), (1, 2), (2, 3)]),
+                           ("N", [(3, 2), (2, 1), (1, 0)])):
+        asked.clear()
+        code, out, _ = run(capsys, "matrix", kind, "6")
+        assert code == 0 and out, kind
+        assert asked == expected, kind
 
 
 def test_oracle_cap_flag(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from smithcube import cli, cube
 from smithcube.bigmat import IntMatrix, snf
-from smithcube.cube import (BlockPair, adjacency, blocks, graded_blocks,
+from smithcube.cube import (adjacency, build_M, build_N, graded_blocks,
                             laplacian, monomial_adjacency, verify_conjugacy,
                             verify_half_lemma, vertex_order)
 from smithcube.reduction import build_B, smith_group_reduction
@@ -146,14 +146,14 @@ def test_graded_blocks_places_blocks_and_rejects_wrong_shape():
 
 
 def test_blocks_match_display_n4():
-    pair = blocks(4)
-    assert pair.M == M4
-    assert (pair.N.rows, pair.N.cols) == (11, 5)
+    assert build_M(4) == M4
+    n_block = build_N(4)
+    assert (n_block.rows, n_block.cols) == (11, 5)
 
 
 def test_blocks_require_even():
     # one guard, one message, for the half blocks, B and the reduction
-    for build in (blocks, build_B, smith_group_reduction):
+    for build in (build_M, build_N, build_B, smith_group_reduction):
         for n in (1, 3, 9):
             with pytest.raises(ValueError,
                                match=f"^even n >= 2 required, got {n}$"):
@@ -168,26 +168,25 @@ def test_half_lemma():
 def test_half_blocks_share_smith_form():
     # the fact the replay implies, checked by elimination
     for n in (2, 4, 6, 8, 10):
-        pair = blocks(n)
-        assert snf(pair.M) == snf(pair.N.transpose()), n
+        assert snf(build_M(n)) == snf(build_N(n).transpose()), n
 
 
 def test_half_lemma_replay_rejects_every_sign_flip():
     # a sign flip keeps the Smith form, so only the exact replay can see it
-    pair = blocks(4)
-    assert cube._replay(pair)
-    flips = [(i, j) for i in range(pair.N.rows) for j, _ in pair.N.pairs(i)]
+    m_block, n_block = build_M(4), build_N(4)
+    assert cube._replay(4, m_block, n_block)
+    flips = [(i, j) for i in range(n_block.rows) for j, _ in n_block.pairs(i)]
     assert len(flips) == 21
     for i, j in flips:
-        flipped = _with_entry(pair.N, i, j, lambda x: -x)
-        assert snf(flipped.transpose()) == snf(pair.M), (i, j)
-        assert not cube._replay(BlockPair(4, pair.M, flipped)), (i, j)
+        flipped = _with_entry(n_block, i, j, lambda x: -x)
+        assert snf(flipped.transpose()) == snf(m_block), (i, j)
+        assert not cube._replay(4, m_block, flipped), (i, j)
 
 
 def test_doubling_of_half_block():
     # the nonzero Smith data of the whole matrix is that of M taken twice
     for n in (4, 6):
-        grid = blocks(n).M.row_lists()
+        grid = build_M(n).row_lists()
         pad = [0] * len(grid[0])
         doubled = snf(from_grid([row + pad for row in grid] +
                                 [pad + row for row in grid]))
@@ -216,3 +215,6 @@ def test_size_cap_and_bounds():
         adjacency(15)
     with pytest.raises(ValueError):
         monomial_adjacency(20)
+    for build in (build_M, build_N):
+        with pytest.raises(ValueError, match="^n=16 exceeds the size cap 14$"):
+            build(16)

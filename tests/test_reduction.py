@@ -7,7 +7,7 @@ import pytest
 from smithcube import bigmat, canonical, cli, cube, reduction, subsets
 from smithcube.bigmat import IntMatrix, snf
 from smithcube.canonical import wilson_form
-from smithcube.cube import adjacency, blocks
+from smithcube.cube import adjacency, build_M
 from smithcube.reduction import (CondensedMatrix, SmithGroupSummary, build_B,
                                  build_condensed, eigenvalue_diagonal,
                                  invariant_factor_rle,
@@ -75,13 +75,13 @@ def test_build_B_conjugates_M():
     # inverting either basis
     for n in (2, 4, 6, 8, 10):
         m = n // 2
-        assert (stacked_basis(n, m - 1) @ blocks(n).M
+        assert (stacked_basis(n, m - 1) @ build_M(n)
                 == build_B(n) @ stacked_basis(n, m)), n
 
 
 def test_B_is_unimodularly_equivalent_to_M():
     for n in (4, 6):
-        assert snf(build_B(n)) == snf(blocks(n).M)
+        assert snf(build_B(n)) == snf(build_M(n))
 
 
 def test_stacked_basis_shape():
@@ -121,6 +121,9 @@ def test_build_condensed_rejects_negative_m():
     for m in (-1, -2):
         with pytest.raises(ValueError, match=f"m must be >= 0, got {m}$"):
             build_condensed(m)
+        # m(m+1)/2 is 0 at m = -1, so the row weights alone let it through
+        with pytest.raises(ValueError, match=f"^m must be >= 0, got {m}$"):
+            CondensedMatrix(m, 1, {}, {})
     assert build_condensed(0).entries == {}
     for m in (1, 2, 5, 64):
         c = build_condensed(m)
@@ -150,6 +153,14 @@ def test_reduce_condensed_m1():
     assert step.odd_residual.m == 0
     assert step.even_residual.entries == {}
     assert step.odd_residual.entries == {}
+
+
+def test_reduce_condensed_m0():
+    # the odd residual of m = 0 was once sized (0 - 1) // 2 = -1
+    step = reduce_condensed(build_condensed(0))
+    assert step.odd_pivots == ()
+    for residual in (step.even_residual, step.odd_residual):
+        assert (residual.m, residual.entries, residual.row_weights) == (0, {}, {})
 
 
 def test_reduce_condensed_m2():
@@ -235,7 +246,7 @@ def test_reduction_matches_exact_fractions():
 
 def test_two_local_matches_oracle():
     for n in (2, 4, 6, 8):
-        assert two_local_divisors_of_M(n) == _two_adic_tally(blocks(n).M), n
+        assert two_local_divisors_of_M(n) == _two_adic_tally(build_M(n)), n
 
 
 def test_two_local_table_is_fixed_by_the_pivot_pattern():
@@ -535,4 +546,4 @@ def test_conjecture_n10_oracle():
 
 
 def test_two_local_matches_oracle_n10():
-    assert two_local_divisors_of_M(10) == _two_adic_tally(blocks(10).M)
+    assert two_local_divisors_of_M(10) == _two_adic_tally(build_M(10))
