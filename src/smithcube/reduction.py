@@ -10,10 +10,11 @@ size copies of the same shadow, scaled by 2.  Recursing yields the complete
 """
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb, isqrt
 
-from .bigmat import SIZE_CAP, IntMatrix, _Record, snf, two_adic_counts
+from .bigmat import (_PLAIN_INT, SIZE_CAP, IntMatrix, _Record, snf,
+                     two_adic_counts)
 from .canonical import _check_half, build_E, wilson_form
 from .cube import (_check_n, _laplacian_of, _require_even, adjacency,
                    graded_blocks, vertex_order)
@@ -63,24 +64,23 @@ def build_B(n: int) -> IntMatrix:
 
 
 class CondensedMatrix(_Record):
-    """Blockwise shadow of B: one weighted entry per scalar block.
+    """Blockwise shadow of B: m bidiagonal chains that never meet.
 
-    Rows are labeled (i, k) with 1 <= k <= i <= m; columns (j, l) with
-    0 <= j <= m, 1 <= l <= j + 1.  Row (i, k) holds an even entry at column
-    (i-1, k) and the exact value i+1-k at column (i, k).  The weight of row
-    (i, k) is the number of matrix rows the block row stands for.  Every
-    instance is validated once, on construction.
+    Chain k, 1 <= k <= m, stands for the condensed rows (i, k), i = k..m,
+    each of weight weights[k-1], the number of rows of B a row stands for.
+    Its position j = i+1-k holds the exact diagonal j, which is not stored,
+    and one even entry to the left of it, entries[k-1][j-1]; so chain k has
+    length m-k+1.  Every instance is validated once, on construction.
 
     The entries are elements of Z_(2), the integers localised at 2, held
-    as plain ints.  A diagonal entry is its exact value i+1-k.  An even
-    entry is its residue mod 2^precision, an int v with 0 < v < 2^precision;
-    this is exact as long as its 2-adic valuation stays below precision, so
-    that a nonzero element never has residue 0.  `build_condensed` chooses a
-    precision for which that holds at every depth of the recursion:
+    as plain ints.  An even entry is its residue mod 2^precision, an int v
+    with 0 < v < 2^precision; this is exact as long as its 2-adic valuation
+    stays below precision, so that a nonzero element never has residue 0.
+    `build_condensed` chooses a precision for which that holds at every
+    depth of the recursion:
 
-    - For a fixed k, the rows (i, k) form a bidiagonal chain of length
-      L = m-k+1; with n = 2m its even entries 2(L+1-j), j = 1..L, have
-      valuations 1 + v2(L+1-j).
+    - Chain k has length L = m-k+1; with n = 2m its even entries
+      2(L+1-j), j = 1..L, have valuations 1 + v2(L+1-j).
     - A reduction step merges two neighbouring even entries o, o' of a chain
       into -o o'/(2q), with q odd, so the new v-1 is the sum of their v-1;
       the chains of a residual are the halved chains of its parent.
@@ -91,55 +91,50 @@ class CondensedMatrix(_Record):
       level keep every nonzero entry, and the product -o o' before its
       halving, nonzero at every depth.  A cancellation x - x = 0 is exact.
     """
-    # entries: (row_label, col_label) -> int; row_weights: row_label -> int > 0
-    __slots__ = ("m", "precision", "entries", "row_weights")
+    # entries: one tuple of even residues per chain; weights: one int > 0 per chain
+    __slots__ = ("m", "precision", "entries", "weights")
 
     def validate(self) -> None:
-        m, top = self.m, 1 << self.precision
-        weights = self.row_weights
+        m, precision, chains, weights = self._values()
+        if (type(chains) is not tuple or type(weights) is not tuple
+                or not all(type(ch) is tuple for ch in chains)
+                or not set(map(type, (m, precision, *weights,
+                                      *chain.from_iterable(chains)))) <= _PLAIN_INT):
+            raise TypeError("m, precision, each weight and each residue must "
+                            "be an int, the chains and weights tuples")
         if m < 0:
             raise ValueError(f"m must be >= 0, got {m}")
-        # distinct keys, as many as labels and each in range: exactly the labels
-        if (len(weights) != m * (m + 1) // 2
-                or not all(1 <= k <= i <= m for i, k in weights)):
-            raise ValueError("row weights do not cover the row labels")
-        if any(w <= 0 for w in weights.values()):
-            raise ValueError("non-positive row weight")
-        for (r, c), v in self.entries.items():
-            if r not in weights:
-                raise ValueError(f"entry at unknown position {(r, c)}")
-            i, k = r
-            if v == 0:
-                raise ValueError(f"explicit zero stored at {(r, c)}")
-            if c == r:
-                if type(v) is not int or v != i + 1 - k:
-                    raise ValueError(f"bad diagonal value {v} at {(r, c)}")
-            elif c == (i - 1, k):
-                if type(v) is not int or not 0 < v < top:
-                    raise ValueError(f"entry {v} at {(r, c)} is not a residue "
-                                     f"mod 2^{self.precision}")
+        if precision < 1:
+            raise ValueError(f"precision must be >= 1, got {precision}")
+        if len(chains) != m or len(weights) != m:
+            raise ValueError(f"expected {m} chains and {m} weights, got "
+                             f"{len(chains)} and {len(weights)}")
+        if any(w <= 0 for w in weights):
+            raise ValueError("non-positive weight")
+        top = 1 << precision
+        for k, ch in enumerate(chains, 1):
+            if len(ch) != m + 1 - k:
+                raise ValueError(f"chain {k} has length {len(ch)}, not {m + 1 - k}")
+            for v in ch:
+                if not 0 < v < top:
+                    raise ValueError(f"entry {v} of chain {k} is not a residue "
+                                     f"mod 2^{precision}")
                 if v & 1:
-                    raise ValueError(f"odd entry {v} on the even diagonal at {(r, c)}")
-            else:
-                raise ValueError(f"entry outside the two diagonals at {(r, c)}")
-        for (i, k) in weights:
-            if ((i, k), (i, k)) not in self.entries:
-                raise ValueError(f"missing diagonal value at {(i, k)}")
-            if ((i, k), (i - 1, k)) not in self.entries:
-                raise ValueError(f"missing even entry in row {(i, k)}")
+                    raise ValueError(f"odd entry {v} in chain {k}")
 
 
-# the condensed shadow of n = 2m holds m(m+1)/2 row dicts at once: 2^18 rows
-# allows m <= 723, that is n <= 1446, which peaks near 480 MB (n = 2046, at
-# 2^19 rows, peaks near 1 GB)
+# the elimination of `reduce_condensed` holds the shadow of n = 2m as
+# m(m+1)/2 row dicts at once: 2^18 rows allows m <= 723, that is n <= 1446,
+# which peaks near 310 MB
 CONDENSED_ROW_LIMIT = 1 << 18
 
 
 def build_condensed(m: int) -> CondensedMatrix:
-    """Condensed shadow of B for n = 2m, with the concrete even values
-    n - 2(i-1) on the main diagonal and weights taken from the block sizes.
-    The even entries are residues mod 2^(m + m.bit_length() + 2), enough
-    for the whole recursion (see `CondensedMatrix`).  A shadow of more than
+    """Condensed shadow of B for n = 2m: chain k is n, n-2, ..., 2 from
+    position k on, that is row (i, k) holds n - 2(i-1), and its weight is
+    count_full_rank(n, k-1), the block sizes' increments.  The even entries
+    are residues mod 2^(m + m.bit_length() + 2), enough for the whole
+    recursion (see `CondensedMatrix`).  A shadow of more than
     CONDENSED_ROW_LIMIT rows is refused before anything is built."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -148,17 +143,10 @@ def build_condensed(m: int) -> CondensedMatrix:
         top = (isqrt(8 * CONDENSED_ROW_LIMIT + 1) - 1) // 2
         raise ValueError(f"n={n} needs {rows} condensed rows, above the cap "
                          f"{CONDENSED_ROW_LIMIT} (n <= {2 * top})")
-    # row (i, k) stands for count_full_rank(n, k - 1) rows, whatever i is
-    weight_of_k = {k: count_full_rank(n, k - 1) for k in range(1, m + 1)}
-    entries = {}
-    weights = {}
-    for i in range(1, m + 1):
-        even = n - 2 * (i - 1)  # 2 <= even < 2^precision: its own residue
-        for k in range(1, i + 1):
-            entries[((i, k), (i - 1, k))] = even
-            entries[((i, k), (i, k))] = i + 1 - k
-            weights[(i, k)] = weight_of_k[k]
-    return CondensedMatrix(m, m + m.bit_length() + 2, entries, weights)
+    evens = tuple(range(n, 0, -2))  # 2 <= even < 2^precision: its own residue
+    return CondensedMatrix(m, m + m.bit_length() + 2,
+                           tuple(evens[k:] for k in range(m)),
+                           tuple(count_full_rank(n, k) for k in range(m)))
 
 
 class ReductionStep(_Record):
@@ -170,12 +158,13 @@ class ReductionStep(_Record):
 def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
     """Kill the even diagonal with the odd condensed entries.
 
-    For each odd value q at (i, k): a column operation scales column (i, k)
-    by the 2-multiple c/q and subtracts it from column (i-1, k), killing the
-    even entry in the same row and writing a 4-multiple at (i+1, k), (i-1, k);
-    a row operation then kills the even entry below the pivot.  The surviving
-    rows and columns split by parity of the block index into two copies of
-    the half-size shadow, scaled by 2.
+    Position j of chain k is row (i, k), i = k+j-1, with its even entry at
+    column (i-1, k) and its diagonal j at column (i, k).  For each odd value
+    q at (i, k): a column operation scales column (i, k) by the 2-multiple
+    c/q and subtracts it from column (i-1, k), killing the even entry in the
+    same row and writing a 4-multiple at (i+1, k), (i-1, k); a row operation
+    then kills the even entry below the pivot.  The surviving rows, the even
+    positions of each chain, halved, form two copies of the half-size shadow.
 
     Arithmetic is mod 2^precision: dividing by q multiplies by its inverse
     mod 2^precision, and halving an even residue shifts it right by one bit,
@@ -184,11 +173,13 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
     m = c.m
     modulus = 1 << c.precision
     mask = modulus - 1
-    rows: dict = {r: {} for r in c.row_weights}
+    rows: dict = {}
     cols: dict = {}
-    for (r, cl), v in c.entries.items():
-        rows[r][cl] = v
-        cols.setdefault(cl, set()).add(r)
+    for k, ch in enumerate(c.entries, 1):
+        for i, v in enumerate(ch, k):
+            rows[(i, k)] = {(i - 1, k): v, (i, k): i + 1 - k}
+            cols.setdefault((i - 1, k), set()).add((i, k))
+            cols.setdefault((i, k), set()).add((i, k))
 
     def add_to(r, cl, delta):
         # only even entries change: a diagonal value is never a target
@@ -221,37 +212,33 @@ def reduce_condensed(c: CondensedMatrix) -> ReductionStep:
                 assert f and not f & 1
                 for cl in list(rows[src]):
                     add_to(below, cl, -f * rows[src][cl])
-        odd_out.append((q, c.row_weights[src]))
+        odd_out.append((q, c.weights[k - 1]))
 
     # the pivot rows and columns must now be clean
     for (i, k) in pivots:
         assert set(rows[(i, k)]) == {(i, k)}
         assert cols[(i, k)] == {(i, k)}
-    pivot_set = set(pivots)
 
-    # row or column (j, l) of parity j % 2 becomes (j // 2, (l + 1 - j % 2) // 2)
-    # of that parity's residual, with every entry halved
-    split = (({}, {}), ({}, {}))  # (entries, weights) of the even, odd residual
-    for r, row in rows.items():
-        if r in pivot_set:
-            continue
-        i, k = r
-        parity = i & 1
-        shift = 1 - parity
-        entries, weights = split[parity]
-        nr = (i >> 1, (k + shift) >> 1)
-        weights[nr] = c.row_weights[r]
-        for (j, l), v in row.items():
-            assert j & 1 == parity, "entry crossing the parity split"
-            assert not v & 1, "odd entry in a surviving row"
-            # an exact even diagonal value halves exactly, and an even
-            # residue mod 2^P halves to a residue mod 2^(P-1)
-            entries[(nr, (j >> 1, (l + shift) >> 1))] = v >> 1
-    (even_entries, even_weights), (odd_entries, odd_weights) = split
-    return ReductionStep(
-        tuple(odd_out),
-        CondensedMatrix(m // 2, c.precision - 1, even_entries, even_weights),
-        CondensedMatrix(max(m - 1, 0) // 2, c.precision - 1, odd_entries, odd_weights))
+    # position J = 2, 4, ... of chain k, row (i, k), now holds only its fill
+    # at (i-2, k) and its diagonal J; halved, the fills in order are chain
+    # ceil(k/2) of the even residual if k is odd, of the odd one if k is even
+    split = ([], []), ([], [])  # (chains, weights) of the even, odd residual
+    for k, weight in enumerate(c.weights, 1):
+        halves = []
+        for i in range(k + 1, m + 1, 2):
+            row = rows[(i, k)]
+            fill = row.get((i - 2, k), 0)
+            assert fill and not fill & 1, "odd or zero fill in a surviving row"
+            assert row == {(i - 2, k): fill, (i, k): i + 1 - k}, \
+                "entry outside the chain"
+            halves.append(fill >> 1)
+        if halves:  # a chain of length 1 has no survivor
+            chains, weights = split[1 - k % 2]
+            chains.append(tuple(halves))
+            weights.append(weight)
+    return ReductionStep(tuple(odd_out), *(
+        CondensedMatrix(size, c.precision - 1, tuple(chains), tuple(weights))
+        for size, (chains, weights) in zip((m // 2, max(m - 1, 0) // 2), split)))
 
 
 def two_local_divisors_of_M(n: int) -> dict:

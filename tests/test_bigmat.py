@@ -77,7 +77,7 @@ RECORDS = {
     "InvariantFactors": (lambda: InvariantFactors((1, 6), 0),
                          ("factors", "zero_count")),
     "CondensedMatrix": (lambda: build_condensed(3),
-                        ("m", "precision", "entries", "row_weights")),
+                        ("m", "precision", "entries", "weights")),
     "ReductionStep": (lambda: reduce_condensed(build_condensed(3)),
                       ("odd_pivots", "even_residual", "odd_residual")),
     "SmithGroupSummary": (lambda: smith_group(4), ("n", "free_rank", "nonzero")),

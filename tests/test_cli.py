@@ -334,7 +334,7 @@ def test_cli_import_leaves_out_dataclasses_and_typing():
 def test_oversized_reduction_refused_before_the_shadow(capsys, monkeypatch):
     # m(m+1)/2 condensed rows for n = 2m once ended in a MemoryError
     # traceback under a 1 GiB limit; `build_condensed` refuses before it
-    # computes the first row weight
+    # computes the first chain weight
     def no_build(n, t):
         raise AssertionError(f"a shadow of n={n} was started")
     monkeypatch.setattr(reduction, "count_full_rank", no_build)

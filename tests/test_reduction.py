@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -100,12 +101,14 @@ def test_telescoping():
 
 def test_build_condensed_shapes():
     c = build_condensed(5)
-    assert len(c.row_weights) == 15
+    # chain k holds the rows (i, k), i = k..5: 15 rows in all
+    assert [len(chain) for chain in c.entries] == [5, 4, 3, 2, 1]
+    assert sum(map(len, c.entries)) == 15
     c1 = build_condensed(1)
-    assert len(c1.row_weights) == 1
-    assert c1.entries[((1, 1), (0, 1))] == 2
-    assert c1.entries[((1, 1), (1, 1))] == 1
-    assert c1.row_weights[(1, 1)] == 1
+    # one chain of one position: the even entry 2 left of the diagonal 1
+    assert c1.entries == ((2,),)
+    assert c1.entries[0][0] == 2
+    assert c1.weights == (1,)
 
 
 def test_build_condensed_refuses_above_the_row_cap():
@@ -121,29 +124,95 @@ def test_build_condensed_rejects_negative_m():
     for m in (-1, -2):
         with pytest.raises(ValueError, match=f"m must be >= 0, got {m}$"):
             build_condensed(m)
-        # m(m+1)/2 is 0 at m = -1, so the row weights alone let it through
         with pytest.raises(ValueError, match=f"^m must be >= 0, got {m}$"):
-            CondensedMatrix(m, 1, {}, {})
-    assert build_condensed(0).entries == {}
+            CondensedMatrix(m, 1, (), ())
+    assert build_condensed(0).entries == ()
     for m in (1, 2, 5, 64):
         c = build_condensed(m)
         assert c.precision == m + m.bit_length() + 2
-        assert c.entries[((1, 1), (0, 1))] == 2 * m
+        assert c.entries[0][0] == 2 * m
+
+
+def _expand_shadow(c: CondensedMatrix) -> IntMatrix:
+    """The condensed shadow c of n = 2m written out in B's order: position j
+    of chain k is shadow row a = k+j-1 and stands for w_k rows of B in block
+    a-1, at positions p from w_1 + ... + w_{k-1} on; each holds the residue
+    at column p of block a-1 and j at column p of block a."""
+    n = 2 * c.m
+    ends = list(accumulate((comb(n, b) for b in range(c.m + 1)), initial=0))
+    rows = []
+    for a in range(1, c.m + 1):
+        p = 0
+        for k in range(1, a + 1):
+            j = a + 1 - k
+            for _ in range(c.weights[k - 1]):
+                rows.append({ends[a - 1] + p: c.entries[k - 1][j - 1], ends[a] + p: j})
+                p += 1
+    return IntMatrix.from_rows(rows, ends[-1])
+
+
+def test_B_is_the_sum_of_the_shadow_chains():
+    for n in range(2, 15, 2):
+        assert _expand_shadow(build_condensed(n // 2)) == build_B(n), n
+
+
+def test_shadow_expansion_sees_one_changed_value(monkeypatch):
+    n = 8
+    c, b = build_condensed(n // 2), build_B(n)
+    entries, weights = list(c.entries), list(c.weights)
+    entries[1] = (entries[1][0] + 2, *entries[1][1:])
+    weights[2] += 1
+    for changed in (CondensedMatrix(c.m, c.precision, tuple(entries), c.weights),
+                    CondensedMatrix(c.m, c.precision, c.entries, tuple(weights))):
+        assert _expand_shadow(changed) != b
+    diagonal = canonical.wilson_diagonal
+
+    def one_entry_off(n, t, k):
+        d = diagonal(n, t, k)
+        return d if (t, k) != (2, 3) else (*d[:-1], d[-1] + 1)
+
+    monkeypatch.setattr(canonical, "wilson_diagonal", one_entry_off)
+    assert _expand_shadow(c) != build_B(n)
 
 
 def test_condensed_validation_rejects_bad_values():
     c = build_condensed(2)
-    even = ((1, 1), (0, 1))
-    for position, value, message in (
-            (((2, 1), (2, 1)), 3, "bad diagonal value"),  # exact value must be 2
-            (even, 3, "odd entry"),  # even diagonal must stay even
-            (even, 0, "explicit zero"),
-            (even, (1 << c.precision) + 4, "not a residue"),  # not reduced
-            (even, -4, "not a residue")):
-        bad = dict(c.entries)
-        bad[position] = value
+    assert (c.entries, c.weights) == (((4, 2), (2,)), (1, 3))
+    for value, message in (
+            (3, "odd entry"),  # even diagonal must stay even
+            (0, "not a residue"),
+            ((1 << c.precision) + 4, "not a residue"),  # not reduced
+            (-4, "not a residue")):
         with pytest.raises(ValueError, match=message):
-            CondensedMatrix(2, c.precision, bad, dict(c.row_weights))
+            CondensedMatrix(2, c.precision, ((value, 2), (2,)), c.weights)
+    for entries, weights, message in (
+            (((4, 2), (2, 2)), c.weights, "chain 2 has length 2, not 1"),
+            (((4,), (2,)), c.weights, "chain 1 has length 1, not 2"),
+            (((4, 2),), c.weights, "expected 2 chains and 2 weights, got 1 and 2"),
+            (c.entries, (1,), "expected 2 chains and 2 weights, got 2 and 1"),
+            (c.entries, (1, 0), "non-positive weight"),
+            (c.entries, (-1, 3), "non-positive weight")):
+        with pytest.raises(ValueError, match=message):
+            CondensedMatrix(2, c.precision, entries, weights)
+
+
+def test_condensed_validation_rejects_bad_types():
+    c = build_condensed(2)
+    good = (2, c.precision, c.entries, c.weights)
+    for field, value in ((0, 1.5), (0, True), (1, 6.0), (1, False),
+                         (2, [(4, 2), (2,)]), (2, ([4, 2], (2,))),
+                         (2, ((4.0, 2), (2,))), (2, ((4, 2), (True,))),
+                         (3, [1, 3]), (3, (1, 3.0)), (3, (True, 3))):
+        fields = list(good)
+        fields[field] = value
+        with pytest.raises(TypeError):
+            CondensedMatrix(*fields)
+    # a negative precision once failed in Python's shift, and a zero one
+    # leaves no room for any residue
+    for precision in (0, -1):
+        with pytest.raises(ValueError, match=f"^precision must be >= 1, got {precision}$"):
+            CondensedMatrix(0, precision, (), ())
+    assert CondensedMatrix(0, 1, (), ()).m == 0
 
 
 def test_reduce_condensed_m1():
@@ -151,8 +220,8 @@ def test_reduce_condensed_m1():
     assert step.odd_pivots == ((1, 1),)
     assert step.even_residual.m == 0
     assert step.odd_residual.m == 0
-    assert step.even_residual.entries == {}
-    assert step.odd_residual.entries == {}
+    assert step.even_residual.entries == ()
+    assert step.odd_residual.entries == ()
 
 
 def test_reduce_condensed_m0():
@@ -160,7 +229,7 @@ def test_reduce_condensed_m0():
     step = reduce_condensed(build_condensed(0))
     assert step.odd_pivots == ()
     for residual in (step.even_residual, step.odd_residual):
-        assert (residual.m, residual.entries, residual.row_weights) == (0, {}, {})
+        assert (residual.m, residual.entries, residual.weights) == (0, (), ())
 
 
 def test_reduce_condensed_m2():
@@ -170,7 +239,7 @@ def test_reduce_condensed_m2():
     # the surviving row (2,1) has even block index: one half-size copy
     assert step.even_residual.m == 1
     assert step.odd_residual.m == 0
-    assert step.even_residual.row_weights == {(1, 1): count_full_rank(4, 0)}
+    assert step.even_residual.weights == (count_full_rank(4, 0),)
 
 
 def test_reduce_condensed_m5_residual_sizes():
@@ -187,8 +256,7 @@ def test_structural_recursion_closes():
         stack = [build_condensed(m)]
         while stack:
             c = stack.pop()
-            assert all(valuation(v, 2) <= m
-                       for (r, cl), v in c.entries.items() if r != cl)
+            assert all(valuation(v, 2) <= m for chain in c.entries for v in chain)
             if c.m == 0:
                 continue
             step = reduce_condensed(c)
@@ -217,14 +285,20 @@ def _exact_step(m: int, even: dict, weights: dict) -> tuple:
     return tuple(pivots), halves
 
 
+def _row_labels(c: CondensedMatrix) -> list:
+    """The rows (i, k) of c's chains: chain k holds i = k..m."""
+    return [(i, k) for k in range(1, c.m + 1) for i in range(k, c.m + 1)]
+
+
 def test_reduction_matches_exact_fractions():
     # each step's odd pivots and the valuation of every residual entry
     # equal an exact computation over Z_(2), for all half-sizes up to 40
     for m in range(1, 41):
         n = 2 * m
         top = build_condensed(m)
-        even = {(i, k): Fraction(n - 2 * (i - 1)) for (i, k) in top.row_weights}
-        stack = [(top, even, dict(top.row_weights))]
+        even = {(i, k): Fraction(n - 2 * (i - 1)) for (i, k) in _row_labels(top)}
+        weights = {(i, k): top.weights[k - 1] for (i, k) in _row_labels(top)}
+        stack = [(top, even, weights)]
         while stack:
             c, even, weights = stack.pop()
             if c.m == 0:
@@ -234,13 +308,13 @@ def test_reduction_matches_exact_fractions():
             assert step.odd_pivots == pivots, m
             for residual, (exact, exact_weights) in zip(
                     (step.even_residual, step.odd_residual), halves):
-                assert residual.row_weights == exact_weights, m
+                assert {(i, k): residual.weights[k - 1]
+                        for (i, k) in _row_labels(residual)} == exact_weights, m
                 for (i, k), x in exact.items():
-                    v = residual.entries[((i, k), (i - 1, k))]
+                    v = residual.entries[k - 1][i - k]
                     assert x.denominator % 2 == 1
                     assert valuation(v, 2) == (valuation(x.numerator, 2)
                                       - valuation(x.denominator, 2)), m
-                    assert residual.entries[((i, k), (i, k))] == i + 1 - k
                 stack.append((residual, exact, exact_weights))
 
 
