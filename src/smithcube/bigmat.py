@@ -594,11 +594,10 @@ def two_adic_counts(m: IntMatrix, e: int) -> tuple:
 # -- sparse-triple text format --------------------------------------------
 
 
-# the characters to_text writes, and the 0 that opens a word it never
-# writes (-0, 007); from_text refuses any other character and such words.
-# The pattern starts with the literal 0, so a search skips from 0 to 0.
-_ALPHABET = re.compile(r"[-0-9 \n]*")
-_LEADING_ZERO = re.compile(r"0(?:(?<![^ \n]0)[0-9]|(?<=-0)(?<![^ \n]-0))")
+# a word as to_text writes it, between spaces, newlines or ends of the text;
+# a text is in to_text's grammar when deleting these leaves only spaces and
+# newlines (a repeated group, fullmatched, would keep a frame per repeat)
+_WORDS = re.compile(r"(?<![^ \n])(?:0|-?[1-9][0-9]*)(?![^ \n])")
 
 
 def to_text(m: IntMatrix) -> str:
@@ -614,16 +613,14 @@ def to_text(m: IntMatrix) -> str:
 def from_text(text: str) -> IntMatrix:
     """Parse the sparse-triple format; exact inverse of :func:`to_text`.
 
-    Strict: a text outside `_ALPHABET` or with a `_LEADING_ZERO` is refused
-    at its first line with a foreign character or word, each (i, j) appears
-    at most once with a nonzero value, and nothing but blank lines may
-    follow the terminator."""
+    Strict: the first line with a character or word `to_text` never writes
+    is refused (see `_WORDS`), each (i, j) appears at most once with a
+    nonzero value, and nothing but blank lines may follow the terminator."""
     lines = [ln for ln in text.split("\n") if ln.strip(" ")]
     if not lines:
         raise ValueError("empty matrix text")
-    if not _ALPHABET.fullmatch(text) or _LEADING_ZERO.search(text):
-        k = next(k for k, ln in enumerate(lines) if not _ALPHABET.fullmatch(ln)
-                 or _LEADING_ZERO.search(ln))
+    if _WORDS.sub("", text).strip(" \n"):
+        k = next(k for k, ln in enumerate(lines) if _WORDS.sub("", ln).strip(" "))
         raise ValueError(f"expected {3 if k else 2} integers, got line "
                          f"{lines[k].strip(' ')!r}")
     try:

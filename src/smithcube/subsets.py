@@ -63,6 +63,8 @@ def has_full_rank(s: int) -> bool:
 
 def count_full_rank(n: int, t: int) -> int:
     """Number of t-subsets of rank t: C(n,t) - C(n,t-1)."""
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     if 2 * t > n:
         raise ValueError(f"t={t} exceeds n/2 for n={n}")
     return comb(n, t) - (comb(n, t - 1) if t >= 1 else 0)

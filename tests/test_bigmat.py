@@ -44,18 +44,18 @@ def test_snf_rectangular():
     assert inv.factors[1] % inv.factors[0] == 0
 
 
-def test_diagonal_form_valuation_sort():
+def test_snf_of_diagonal_sorts_factors():
     d = IntMatrix.diagonal((3, 3, 1, 1, 1, 1, 1, 1))
     assert snf(d).factors == (1, 1, 1, 1, 1, 1, 3, 3)
 
 
-def test_diagonal_form_with_zeros():
+def test_snf_of_diagonal_counts_zero_entries():
     inv = snf(IntMatrix.diagonal((1,) * 8 + (2, 2) + (0,) * 6))
     assert inv.factors == (1,) * 8 + (2, 2)
     assert inv.zero_count == 6
 
 
-def test_diagonal_form_sign_invariance():
+def test_snf_of_diagonal_drops_signs():
     assert snf(IntMatrix.diagonal((-5,))).factors == (5,)
 
 
@@ -223,7 +223,7 @@ def test_annotations_resolve():
     assert hints["return"] is IntMatrix
 
 
-def test_block_diag_and_submatrix():
+def test_from_rows_and_submatrix():
     b = from_grid([[3], [4]])
     bd = IntMatrix.from_rows([{0: 1, 1: 2}, {2: 3}, {2: 4}], 3)
     assert bd == from_grid([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
@@ -513,7 +513,7 @@ def _p_table(m, p):
     return mult
 
 
-def test_elem_div_table_reconstructs_p_parts():
+def test_p_tables_rebuild_invariant_factors():
     # along a divisibility chain the p-adic valuations never fall, so the
     # tables of the primes dividing the factors, exponents in increasing
     # order, give back every factor position by position

@@ -8,7 +8,7 @@ from smithcube import cli, cube
 from smithcube.bigmat import IntMatrix, snf
 from smithcube.cube import (adjacency, build_M, build_N, graded_blocks,
                             laplacian, monomial_adjacency, verify_conjugacy,
-                            verify_half_lemma, vertex_order)
+                            vertex_order)
 from smithcube.reduction import build_B, smith_group_reduction
 from smithcube.subsets import incidence_matrix
 
@@ -160,11 +160,6 @@ def test_blocks_require_even():
                 build(n)
 
 
-def test_half_lemma():
-    for n in (2, 4, 6):
-        assert verify_half_lemma(n), n
-
-
 def test_half_blocks_share_smith_form():
     # the fact the replay implies, checked by elimination
     for n in (2, 4, 6, 8, 10):
@@ -181,16 +176,6 @@ def test_half_lemma_replay_rejects_every_sign_flip():
         flipped = _with_entry(n_block, i, j, lambda x: -x)
         assert snf(flipped.transpose()) == snf(m_block), (i, j)
         assert not cube._replay(4, m_block, flipped), (i, j)
-
-
-def test_doubling_of_half_block():
-    # the nonzero Smith data of the whole matrix is that of M taken twice
-    for n in (4, 6):
-        grid = build_M(n).row_lists()
-        pad = [0] * len(grid[0])
-        doubled = snf(from_grid([row + pad for row in grid] +
-                                [pad + row for row in grid]))
-        assert doubled.factors == snf(adjacency(n)).factors
 
 
 def test_free_rank_even():

@@ -28,16 +28,6 @@ B4 = from_grid([[4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
                 [0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0]])
 
 
-def _two_adic_tally(m):
-    """e -> multiplicity of 2^e among the elementary divisors of m, from
-    the invariant factors of `snf`."""
-    out: dict = {}
-    for d in snf(m).factors:
-        e = valuation(d, 2)
-        out[e] = out.get(e, 0) + 1
-    return out
-
-
 def test_build_B_matches_display_n4():
     assert build_B(4) == B4
 
@@ -87,16 +77,6 @@ def test_B_is_unimodularly_equivalent_to_M():
 
 def test_stacked_basis_shape():
     assert stacked_basis(4, 2).rows == 1 + 4 + 6
-
-
-def test_telescoping():
-    # the sum over i = k..m of C(n, i-k) - C(n, i-1-k), with C(n, -1) = 0
-    for n in range(2, 42, 2):
-        m = n // 2
-        for k in range(1, m + 1):
-            total = sum(comb(n, i - k) - (comb(n, i - 1 - k) if i > k else 0)
-                        for i in range(k, m + 1))
-            assert total == comb(n, m - k), (n, k)
 
 
 def test_build_condensed_shapes():
@@ -316,11 +296,6 @@ def test_reduction_matches_exact_fractions():
                     assert valuation(v, 2) == (valuation(x.numerator, 2)
                                       - valuation(x.denominator, 2)), m
                 stack.append((residual, exact, exact_weights))
-
-
-def test_two_local_matches_oracle():
-    for n in (2, 4, 6, 8):
-        assert two_local_divisors_of_M(n) == _two_adic_tally(build_M(n)), n
 
 
 def test_two_local_table_is_fixed_by_the_pivot_pattern():
@@ -613,11 +588,3 @@ def test_build_B_n10_superdiagonals():
         sup = b.submatrix(range(row_off[i], row_off[i + 1]),
                           range(col_off[i + 1], col_off[i + 2]))
         assert sup == wilson_form(n, i, i + 1)
-
-
-def test_conjecture_n10_oracle():
-    assert verify_conjecture(10, oracle_cap=10)
-
-
-def test_two_local_matches_oracle_n10():
-    assert two_local_divisors_of_M(10) == _two_adic_tally(build_M(10))

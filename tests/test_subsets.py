@@ -80,6 +80,9 @@ def test_count_full_rank_values():
     assert count_full_rank(9, 0) == 1
     with pytest.raises(ValueError):
         count_full_rank(4, 3)
+    # math.comb would refuse it too, but naming its own k
+    with pytest.raises(ValueError, match=r"^t must be >= 0, got -1$"):
+        count_full_rank(4, -1)
 
 
 def test_count_full_rank_matches_enumeration():
