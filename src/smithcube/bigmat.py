@@ -26,15 +26,11 @@ _PLAIN_INT = frozenset({int})
 
 
 def _check_entries(values) -> None:
-    """Refuse any entry that is not an int; bool, an int subclass but never
-    a matrix entry, is refused too, while other int subclasses pass."""
-    # a run of plain ints passes at C speed; anything else gets the
-    # per-entry test
-    if set(map(type, values)) <= _PLAIN_INT:
-        return
-    for x in values:
-        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
-            raise TypeError(f"non-integer entry {x!r}")
+    """Refuse, naming the first, any entry that is not a plain int: bool and
+    every other int subclass too, as for columns and counts."""
+    if not set(map(type, values)) <= _PLAIN_INT:
+        bad = next(x for x in values if type(x) is not int)
+        raise TypeError(f"non-integer entry {bad!r}")
 
 
 def _check_count(count, name: str) -> None:
@@ -114,7 +110,7 @@ class IntMatrix(_Record):
     @classmethod
     def from_rows(cls, rows: Iterable[dict], cols: int) -> "IntMatrix":
         """Matrix with one {col: value} dict per row, the one builder.
-        `cols` is a plain int >= 0, values are ints (bool is refused),
+        `cols` is a plain int >= 0, values and columns are plain ints,
         columns lie in 0..cols-1 and zero values are dropped."""
         _check_count(cols, "column")
         data = []
@@ -642,7 +638,7 @@ def from_text(text: str) -> IntMatrix:
             if k + 1 < len(lines):
                 raise ValueError(f"line after the 0 0 0 terminator: "
                                  f"{lines[k + 1].strip(' ')!r}")
-            return IntMatrix.from_rows(data, cols)
+            return IntMatrix._stored(tuple(map(_pairs, data)), cols)
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ValueError(f"entry ({i}, {j}) out of bounds")
         if j - 1 in data[i - 1]:

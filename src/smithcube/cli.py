@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -29,14 +30,17 @@ def _canonical_json(obj) -> str:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out is not None:
-        try:
+    try:
+        if out is None:
+            print(text, end="", flush=True)
+        else:
             with open(out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        if out is None:  # the interpreter flushes stdout again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            out = "standard output"
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _summary(summary) -> dict:

@@ -50,7 +50,6 @@ def adjacency(n: int) -> IntMatrix:
 def monomial_adjacency(n: int) -> IntMatrix:
     """Matrix of the adjacency map on the monomial basis: column I carries
     (n - 2|I|) at row I and 1 at each row I minus one element."""
-    _check_n(n)
     sizes = range(n + 1)
     return graded_blocks(n, sizes, sizes, lambda i: incidence_matrix(n, i, i + 1))
 
@@ -102,8 +101,9 @@ def graded_blocks(n: int, row_sizes, col_sizes, up) -> IntMatrix:
 
     Block rows and block columns stand for the subsets of the given sizes.
     The block from size i to size i is (n - 2i) I, the block from size i to
-    size i+1 is up(i), and every other block is zero.
+    size i+1 is up(i), and every other block is zero; n lies in 1..SIZE_CAP.
     """
+    _check_n(n)
     ends = list(accumulate((comb(n, j) for j in col_sizes), initial=0))
     start = dict(zip(col_sizes, ends))
 
@@ -126,7 +126,6 @@ def build_M(n: int) -> IntMatrix:
     """The lower half block of the monomial-basis matrix (n even): sizes
     0..m in colex order, the block from size i to i+1 being W_{i,i+1}."""
     m = _require_even(n)
-    _check_n(n)
     return graded_blocks(n, range(m), range(m + 1),
                          lambda i: incidence_matrix(n, i, i + 1))
 
@@ -137,7 +136,6 @@ def build_N(n: int) -> IntMatrix:
     colex order, i.e. in decreasing mask order; complementing reverses
     inclusion, so the block from size i to i+1 is W_{n-i,n-i-1}."""
     m = _require_even(n)
-    _check_n(n)
     return graded_blocks(n, range(m, n + 1), range(m + 1, n + 1),
                          lambda i: incidence_matrix(n, n - i, n - i - 1))
 

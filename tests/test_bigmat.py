@@ -349,23 +349,6 @@ def _random_matrix(rng, rows, cols, lo=-6, hi=6):
                       for _ in range(rows)])
 
 
-def _random_unimodular(rng, n, steps=12):
-    data = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n < 2:
-        return from_grid(data)
-    for _ in range(steps):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randint(-3, 3)
-        op = rng.randrange(3)
-        if op == 0:
-            data[i] = [x + c * y for x, y in zip(data[i], data[j])]
-        elif op == 1:
-            data[i], data[j] = data[j], data[i]
-        else:
-            data[i] = [-x for x in data[i]]
-    return from_grid(data)
-
-
 def _spied(monkeypatch, name):
     """Calls of bigmat.`name` from here on, each recorded as one entry."""
     calls = []
@@ -480,18 +463,6 @@ def test_snf_of_cube_blocks_and_relabellings_keeps_its_digest():
         inv = snf(m)
         digest.update(f"{inv.factors} {inv.zero_count}\n".encode())
     assert digest.hexdigest() == SNF_DIGEST
-
-
-def test_snf_unimodular_invariance():
-    rng = random.Random(20240817)
-    for _ in range(15):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = _random_matrix(rng, rows, cols)
-        u = _random_unimodular(rng, rows)
-        v = _random_unimodular(rng, cols)
-        assert abs(u.determinant()) == 1 and abs(v.determinant()) == 1
-        assert snf(u @ m @ v) == snf(m)
 
 
 def test_snf_transpose_invariance():

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from smithcube import canonical, cli
-from smithcube.bigmat import IntMatrix, snf
+from smithcube.bigmat import IntMatrix
 from smithcube.canonical import (build_E, verify_bier, wilson_diagonal,
                                  wilson_form)
 from smithcube.subsets import (count_full_rank, enumerate_subsets,
@@ -22,16 +22,6 @@ def test_E_fixture_n4_k1():
     # the rows stand for the empty set, then {2}, {3}, {4}
     assert [s for j in range(2) for s in enumerate_subsets(4, j)
             if has_full_rank(s)] == [0, 0b0010, 0b0100, 0b1000]
-
-
-def test_E_fixture_n4_k2():
-    # the displayed lower block of the stacked basis for 2-subsets
-    assert build_E(4, 2) == from_grid([[1, 1, 1, 1, 1, 1],
-                                              [1, 0, 1, 0, 1, 0],
-                                              [0, 1, 1, 0, 0, 1],
-                                              [0, 0, 0, 1, 1, 1],
-                                              [0, 0, 0, 0, 1, 0],
-                                              [0, 0, 0, 0, 0, 1]])
 
 
 def test_E_k0_identity():
@@ -214,12 +204,3 @@ def test_verify_bier_holds_all_its_inclusion_matrices_to_one_cap(capsys, monkeyp
     # n = 15, 1266027 nonzeros in all, passes the bound and starts building
     with pytest.raises(AssertionError, match="was started"):
         verify_bier(15)
-
-
-def test_snf_of_inclusion_matches_wilson_diagonal():
-    for n in range(2, 10):
-        for k in range(n // 2 + 1):
-            for t in range(k + 1):
-                w = incidence_matrix(n, t, k)
-                d = IntMatrix.diagonal(wilson_diagonal(n, t, k))
-                assert snf(w).factors == snf(d).factors

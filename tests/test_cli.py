@@ -1,9 +1,12 @@
 import hashlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
@@ -82,11 +85,10 @@ def test_matrix_output_digests(capsys):
 REPORT_SHA256 = "f72bd01c27dbb5769528a69c382c8dc4937d7083b130478595f5c82179e40d96"
 
 
-def test_report_output_digest(capsys):
+def test_report_output_digest(sweep):
     digest = hashlib.sha256()
-    for argv in _sweep_argv():
+    for argv, code, out, err in sweep:
         if argv[0] != "matrix":
-            code, out, err = run(capsys, *argv)
             out = re.sub(r'"elapsed_ms":\d+', "", out)
             digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
     assert digest.hexdigest() == REPORT_SHA256
@@ -353,6 +355,39 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
+# this package on the path, with default buffering: over an unbuffered
+# stream CPython's text layer drops what a closed pipe refuses without raising
+_CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+_CHILD_ENV["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+def test_full_standard_output_is_one_error_line():
+    for argv in (("smith-group", "8"), ("verify", "half", "4"),
+                 ("matrix", "adjacency", "4")):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "smithcube.cli", *argv],
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=_CHILD_ENV, timeout=60)
+        assert (done.returncode, done.stderr) == (
+            1, "error: cannot write standard output: No space left on device\n"), argv
+
+
+def test_closed_pipe_is_one_error_line():
+    # each output is above 1 MB, far more than a pipe holds, so the writer
+    # meets the closed end
+    for argv in (("smith-group", "3000"), ("matrix", "adjacency", "13")):
+        with subprocess.Popen([sys.executable, "-m", "smithcube.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=_CHILD_ENV) as child:
+            child.stdout.read(10)
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert (code, err) == (
+            1, "error: cannot write standard output: Broken pipe\n"), argv
+
+
 def test_cross_check_mismatch_exits_2(capsys, monkeypatch):
     broken = reduction.SmithGroupSummary(4, 7, {1: 9})
     monkeypatch.setattr(reduction, "smith_group_reduction", lambda n: broken)
@@ -410,17 +445,27 @@ def _sweep_argv():
                     for params in product(sizes, repeat=arity))
 
 
-def test_every_command_exits_cleanly(capsys):
+@pytest.fixture(scope="module")
+def sweep():
+    # [argv, exit code, stdout, stderr] of every _sweep_argv() command, run
+    # once for the module; an exception escaping main fails the fixture
+    results = []
+    for argv in _sweep_argv():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        results.append((argv, code, out.getvalue(), err.getvalue()))
+    return results
+
+
+def test_every_command_exits_cleanly(sweep):
     # every subcommand, target, kind and format, with n, t and k in -2..6:
     # no exception escapes main, and a refusal is one error line on stderr
-    count = 0
-    for argv in _sweep_argv():
-        code, out, err = run(capsys, *argv)
+    for argv, code, out, err in sweep:
         assert code in (0, 1, 2), argv
         if code == 1:
             assert out == "", argv
             lines = err.splitlines()
             assert "error: " in lines[-1], argv
             assert sum("error:" in line for line in lines) == 1, argv
-        count += 1
-    assert count == 1917
+    assert len(sweep) == 1917

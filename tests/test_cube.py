@@ -14,13 +14,6 @@ from smithcube.subsets import incidence_matrix
 
 from grids import from_grid
 
-# displayed lower half block of the 4-cube's monomial-basis matrix
-M4 = from_grid([[4, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
-                [0, 2, 0, 0, 0, 1, 1, 0, 1, 0, 0],
-                [0, 0, 2, 0, 0, 1, 0, 1, 0, 1, 0],
-                [0, 0, 0, 2, 0, 0, 1, 1, 0, 0, 1],
-                [0, 0, 0, 0, 2, 0, 0, 0, 1, 1, 1]])
-
 
 def test_vertex_order_n2():
     assert vertex_order(2) == (0, 1, 2, 3)
@@ -145,13 +138,7 @@ def test_graded_blocks_places_blocks_and_rejects_wrong_shape():
         graded_blocks(3, [0], [0, 1], lambda i: ups[1])
 
 
-def test_blocks_match_display_n4():
-    assert build_M(4) == M4
-    n_block = build_N(4)
-    assert (n_block.rows, n_block.cols) == (11, 5)
-
-
-def test_blocks_require_even():
+def test_M_N_B_and_reduction_share_one_even_guard():
     # one guard, one message, for the half blocks, B and the reduction
     for build in (build_M, build_N, build_B, smith_group_reduction):
         for n in (1, 3, 9):

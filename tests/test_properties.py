@@ -1,4 +1,5 @@
 """Property tests for the exact integer layer and the closed-form helpers."""
+import re
 from enum import IntEnum
 from functools import reduce
 from itertools import combinations
@@ -265,6 +266,11 @@ class Level(IntEnum):
     HIGH = 7
 
 
+class TruthyZero(int):
+    def __bool__(self):
+        return True
+
+
 @given(st.integers(1, 4), st.integers(1, 4), st.data(),
        st.sampled_from((True, False, 1.0, -2.5, "1")))
 def test_intmatrix_rejects_non_integer_entry_anywhere(rows, cols, data, bad):
@@ -289,11 +295,17 @@ def test_from_rows_refuses_column_out_of_range(rows, cols, data, offset):
         IntMatrix.from_rows(dicts, cols)
 
 
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_intmatrix_accepts_int_subclass_entry(rows, cols, data):
+@given(st.integers(1, 4), st.integers(1, 4), st.data(),
+       st.sampled_from((Level.HIGH, TruthyZero(0), TruthyZero(5))))
+def test_intmatrix_refuses_int_subclass_entry(rows, cols, data, bad):
+    # entries are plain ints, as columns and counts are: a zero that is
+    # truthy would otherwise be stored
     grid = _grid(data.draw, rows, cols, st.integers())
     i = data.draw(st.integers(0, rows - 1))
     j = data.draw(st.integers(0, cols - 1))
-    grid[i][j] = Level.HIGH
-    assert from_grid(grid, cols).row_lists()[i][j] == 7
-    assert IntMatrix.from_rows([{j: Level.HIGH}], cols).pairs(0) == ((j, 7),)
+    grid[i][j] = bad
+    message = f"^non-integer entry {re.escape(repr(bad))}$"
+    with pytest.raises(TypeError, match=message):
+        IntMatrix.from_rows([dict(enumerate(row)) for row in grid], cols)
+    with pytest.raises(TypeError, match=message):
+        IntMatrix.from_rows([{j: bad}], cols)
