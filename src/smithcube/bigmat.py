@@ -433,12 +433,52 @@ def _column_index(rows: dict) -> dict:
     return cols
 
 
+def _components(m: IntMatrix):
+    """Yield each connected component of m's row-column graph as
+    `_eliminate`'s {key: row} dicts and column index, its rows and columns
+    numbered in the order a breadth-first sweep from its first nonzero row
+    finds them, and each row dict in that column order."""
+    data = m._data
+    index: list = [[] for _ in range(m.cols)]  # column -> its (row, value)s
+    for i, row in enumerate(data):
+        for c, v in row:
+            index[c].append((i, v))
+    key = [-1] * m.rows  # row -> its number in its component
+    for start, row in enumerate(data):
+        if not row or key[start] >= 0:
+            continue
+        key[start] = 0
+        order = [start]
+        found = []  # the index entries of the columns found, in order
+        for r in order:  # order grows as the sweep finds rows
+            for c, _ in data[r]:
+                col = index[c]
+                if col:
+                    found.append(col)
+                    index[c] = ()  # found; no later row reopens it
+                    for s, _ in col:
+                        if key[s] < 0:
+                            key[s] = len(order)
+                            order.append(s)
+        rows: dict = {k: {} for k in range(len(order))}
+        for c, col in enumerate(found):
+            for s, v in col:
+                rows[key[s]][c] = v
+        yield rows, {c: {key[s] for s, _ in col} for c, col in enumerate(found)}
+
+
 def _eliminate(m: IntMatrix) -> list:
     """Diagonalize an integer matrix by unimodular row and column operations;
     returns the list of nonzero diagonal entries produced.
 
-    The sparse phase works on a copy with one {col: value} dict per row and
-    a column -> row-set index that mirrors them.  The pivot row is the
+    A breadth-first sweep splits the matrix into the connected components
+    of its row-column graph, finished one at a time, and numbers each one's
+    rows and columns in the order it finds them (Cuthill-McKee, which keeps
+    fill low).  The tie-breaks below follow that numbering, not the labels:
+    a signed, permuted A(10) costs what A(10) does.
+
+    The sparse phase works on one {col: value} dict per row and a
+    column -> row-set index that mirrors them.  The pivot row is the
     shortest active row, and the pivot is its entry of least absolute value,
     ties going to the shortest column.  Row operations with the pivot row
     clear the pivot column; column operations then reduce the pivot row,
@@ -449,75 +489,75 @@ def _eliminate(m: IntMatrix) -> list:
     a remainder in the pivot row going to the shortest column.  Pivots thus
     strictly shrink in absolute value, so the loop terminates.
 
-    The dense phase starts, at most once, when the active block's nonzeros
-    reach _DENSE_FILL times its rows times its columns: `_packed_tail` packs
-    each active row into one int, a signed 64-bit slot per active column,
-    and finishes with the same steps, each row update one big-int
-    expression.  Every packed entry stays below 2^62 in absolute value by a
-    bound kept per row; an update that could reach 2^62, or an entry that
-    already does when the phase starts, leaves the block to this dict loop,
-    so the answer is exact for every input.
+    The dense phase starts, at most once per component, when its active
+    nonzeros reach _DENSE_FILL times its rows times its columns (a test of
+    the whole matrix would let components dilute each other's fill):
+    `_packed_tail` packs each active row into one int, a signed 64-bit slot
+    per active column, and finishes with the same steps, each row update
+    one big-int expression.  Every packed entry stays below 2^62 in
+    absolute value by a bound kept per row; an update that could reach
+    2^62, or an entry that already does when the phase starts, leaves the
+    block to this dict loop, so the answer is exact for every input.
     """
-    rows = {i: dict(row) for i, row in enumerate(m._data) if row}
-    cols = _column_index(rows)
     diag = []
-    dense = False
-    while rows:
-        if not dense and (sum(map(len, rows.values()))
-                          >= _DENSE_FILL * len(rows) * len(cols)):
-            dense = True
-            found, rest = _packed_tail(rows, cols)
-            diag += found
-            if rest is not rows:  # a fresh index of rows may reorder its sets
-                rows, cols = rest, _column_index(rest)
-            continue
-        # rows are never re-inserted, so dict order is index order and this
-        # is the first shortest row
-        pr = min(zip(map(len, rows.values()), rows))[1]
-        row = rows[pr]
-        pc = min(row, key=lambda c: (abs(row[c]), len(cols[c])))
-        while True:
-            prow = rows[pr]
-            p = prow[pc]
-            cells = [(c, x, cols[c]) for c, x in prow.items()]
-            for r in [r for r in cols[pc] if r != pr]:
-                row = rows[r]
-                q, rem = divmod(row[pc], p)
-                if 2 * abs(rem) > abs(p):
-                    q += 1
-                if q:
-                    for c, x, col in cells:
-                        y = row.get(c)
-                        if y is None:  # fill: -q * x is nonzero
-                            row[c] = -q * x
-                            col.add(r)
-                        else:
-                            y -= q * x
-                            if y:
-                                row[c] = y
-                            else:
-                                del row[c]
-                                col.discard(r)
-                    if not row:
-                        del rows[r]
-            left = [r for r in cols[pc] if r != pr]
-            if left:
-                pr = min(left, key=lambda r: abs(rows[r][pc]))
+    for rows, cols in _components(m):
+        dense = False
+        while rows:
+            if not dense and (sum(map(len, rows.values()))
+                              >= _DENSE_FILL * len(rows) * len(cols)):
+                dense = True
+                found, rest = _packed_tail(rows, cols)
+                diag += found
+                if rest is not rows:  # a fresh index of rows may reorder its sets
+                    rows, cols = rest, _column_index(rest)
                 continue
-            for c in [c for c in prow if c != pc]:
-                rem = prow[c] % p
-                prow[c] = rem - p if 2 * abs(rem) > abs(p) else rem
-                if not prow[c]:
-                    del prow[c]
-                    cols[c].discard(pr)
-                    if not cols[c]:
-                        del cols[c]
-            if len(prow) == 1:
-                diag.append(p)
-                del rows[pr], cols[pc]
-                break
-            pc = min((c for c in prow if c != pc),
-                     key=lambda c: (abs(prow[c]), len(cols[c])))
+            # rows are never re-inserted, so dict order is index order and this
+            # is the first shortest row
+            pr = min(zip(map(len, rows.values()), rows))[1]
+            row = rows[pr]
+            pc = min(row, key=lambda c: (abs(row[c]), len(cols[c])))
+            while True:
+                prow = rows[pr]
+                p = prow[pc]
+                cells = [(c, x, cols[c]) for c, x in prow.items()]
+                for r in [r for r in cols[pc] if r != pr]:
+                    row = rows[r]
+                    q, rem = divmod(row[pc], p)
+                    if 2 * abs(rem) > abs(p):
+                        q += 1
+                    if q:
+                        for c, x, col in cells:
+                            y = row.get(c)
+                            if y is None:  # fill: -q * x is nonzero
+                                row[c] = -q * x
+                                col.add(r)
+                            else:
+                                y -= q * x
+                                if y:
+                                    row[c] = y
+                                else:
+                                    del row[c]
+                                    col.discard(r)
+                        if not row:
+                            del rows[r]
+                left = [r for r in cols[pc] if r != pr]
+                if left:
+                    pr = min(left, key=lambda r: abs(rows[r][pc]))
+                    continue
+                for c in [c for c in prow if c != pc]:
+                    rem = prow[c] % p
+                    prow[c] = rem - p if 2 * abs(rem) > abs(p) else rem
+                    if not prow[c]:
+                        del prow[c]
+                        cols[c].discard(pr)
+                        if not cols[c]:
+                            del cols[c]
+                if len(prow) == 1:
+                    diag.append(p)
+                    del rows[pr], cols[pc]
+                    break
+                pc = min((c for c in prow if c != pc),
+                         key=lambda c: (abs(prow[c]), len(cols[c])))
     return diag
 
 

@@ -32,7 +32,12 @@ def _canonical_json(obj) -> str:
 def _write(text: str, out: str | None) -> None:
     try:
         if out is None:
-            print(text, end="", flush=True)
+            # bytes, each write's count checked: over an unbuffered stream
+            # the text layer drops what a short write leaves, unseen
+            binary, rest = sys.stdout.buffer, memoryview(text.encode())
+            while rest:
+                rest = rest[binary.write(rest):]
+            binary.flush()
         else:
             with open(out, "w") as fh:
                 fh.write(text)

@@ -344,6 +344,15 @@ def test_text_header_side_is_capped_before_allocation():
     assert peak < 1 << 20
 
 
+def _perfbench_inputs():
+    """The benchmark's seeded input builders, `perfbench/inputs.py`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
 def _random_matrix(rng, rows, cols, lo=-6, hi=6):
     return from_grid([[rng.randint(lo, hi) for _ in range(cols)]
                       for _ in range(rows)])
@@ -376,11 +385,24 @@ def _handed_back(monkeypatch):
 
 
 def test_packed_tail_finishes_a_dense_block(monkeypatch):
-    # forced from the first pivot on, the packed rows give A(6)'s closed form
+    # forced from the first pivot on, the packed rows finish each of A(6)'s
+    # two components and give its closed form
     monkeypatch.setattr(bigmat, "_DENSE_FILL", 0)
     packs, hand_backs = _spied(monkeypatch, "_pack_row"), _handed_back(monkeypatch)
     assert snf(adjacency(6)) == InvariantFactors((1,) * 32 + (2,) * 10 + (6,) * 2, 20)
-    assert packs and hand_backs == [0]
+    assert packs and hand_backs == [0, 0]
+
+
+def test_packed_tail_switches_per_component(monkeypatch):
+    # a relabelled A(8) is two components of 128 rows that share no column;
+    # each reaches the fill test, and the packed tail, on its own
+    m = from_text(_perfbench_inputs().relabellings(1)[0])
+    answer = snf(adjacency(8))
+    calls = _spied(monkeypatch, "_packed_tail")
+    assert snf(m) == answer
+    assert len(calls) == 2
+    for rows, cols in calls:
+        assert 0 < len(rows) <= 128 and 0 < len(cols) <= 128
 
 
 def test_packed_tail_hands_back_at_the_slot_limit(monkeypatch):
@@ -403,14 +425,15 @@ def _random_draw(seed, n=300, density=0.02):
 
 
 def test_packed_tail_hands_back_many_rows(monkeypatch):
-    # the fill passes 2^62 with 54 rows still active, and the dict loop
-    # finishes them with the rows keyed by their packed positions
+    # the draw is one component; the fill passes 2^62 with 52 of its rows
+    # still active, and the dict loop finishes them with the rows keyed by
+    # their packed positions
     m = _random_draw(1)
     hand_backs = _handed_back(monkeypatch)
     answer = snf(m)
-    assert hand_backs == [54]
+    assert hand_backs == [52]
     monkeypatch.setattr(bigmat, "_DENSE_FILL", float("inf"))
-    assert snf(m) == answer and hand_backs == [54]
+    assert snf(m) == answer and hand_backs == [52]
 
 
 @pytest.mark.parametrize("grid, left", [
@@ -452,10 +475,7 @@ SNF_DIGEST = "98934527df9182a65a34dae21a4b838708ae68f09f511b4ac4821da7633ba856"
 
 
 def test_snf_of_cube_blocks_and_relabellings_keeps_its_digest():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = _perfbench_inputs()
     matrices = [_bipartite_block(n) for n in range(2, 11)]
     matrices += [from_text(t) for seed in (1, 2, 3) for t in inputs.relabellings(seed)]
     digest = hashlib.sha256()

@@ -355,20 +355,22 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
-# this package on the path, with default buffering: over an unbuffered
-# stream CPython's text layer drops what a closed pipe refuses without raising
+# this package on the path, with standard output buffered and then
+# unbuffered as PYTHONUNBUFFERED makes it
 _CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 _CHILD_ENV["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+_CHILD_ENVS = (_CHILD_ENV, {**_CHILD_ENV, "PYTHONUNBUFFERED": "1"})
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
 def test_full_standard_output_is_one_error_line():
-    for argv in (("smith-group", "8"), ("verify", "half", "4"),
-                 ("matrix", "adjacency", "4")):
+    commands = (("smith-group", "8"), ("verify", "half", "4"),
+                ("matrix", "adjacency", "4"))
+    for env, argv in product(_CHILD_ENVS, commands):
         with open("/dev/full", "w") as full:
             done = subprocess.run([sys.executable, "-m", "smithcube.cli", *argv],
                                   stdout=full, stderr=subprocess.PIPE, text=True,
-                                  env=_CHILD_ENV, timeout=60)
+                                  env=env, timeout=60)
         assert (done.returncode, done.stderr) == (
             1, "error: cannot write standard output: No space left on device\n"), argv
 
@@ -376,10 +378,11 @@ def test_full_standard_output_is_one_error_line():
 def test_closed_pipe_is_one_error_line():
     # each output is above 1 MB, far more than a pipe holds, so the writer
     # meets the closed end
-    for argv in (("smith-group", "3000"), ("matrix", "adjacency", "13")):
+    commands = (("smith-group", "3000"), ("matrix", "adjacency", "13"))
+    for env, argv in product(_CHILD_ENVS, commands):
         with subprocess.Popen([sys.executable, "-m", "smithcube.cli", *argv],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              text=True, env=_CHILD_ENV) as child:
+                              text=True, env=env) as child:
             child.stdout.read(10)
             child.stdout.close()
             err = child.stderr.read()
@@ -451,10 +454,12 @@ def sweep():
     # once for the module; an exception escaping main fails the fixture
     results = []
     for argv in _sweep_argv():
-        out, err = io.StringIO(), io.StringIO()
+        # main writes standard output's bytes to its binary layer
+        out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
-        results.append((argv, code, out.getvalue(), err.getvalue()))
+        out.flush()
+        results.append((argv, code, out.buffer.getvalue().decode(), err.getvalue()))
     return results
 
 

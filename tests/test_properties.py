@@ -119,13 +119,48 @@ SIDE = 24
 def test_snf_invariant_under_signed_relabelling(entries, row_perm, col_perm,
                                                 signs):
     # a signed row permutation and an independent column permutation are
-    # unimodular, and they change every pivot tie-break of the elimination
+    # unimodular, and they change the start and the order of the component
+    # sweep; checked with the packed tail from the first pivot and without it
     data = [[0] * SIDE for _ in range(SIDE)]
     moved = [[0] * SIDE for _ in range(SIDE)]
     for (i, j), v in entries.items():
         data[i][j] = v
         moved[row_perm[i]][col_perm[j]] = signs[i] * v
-    assert snf(from_grid(moved)) == snf(from_grid(data))
+    for fill in (0, inf):
+        with patch.object(bigmat, "_DENSE_FILL", fill):
+            assert snf(from_grid(moved)) == snf(from_grid(data))
+
+
+@st.composite
+def square_matrices(draw, max_side, elements):
+    side = draw(st.integers(0, max_side))
+    return from_grid(_grid(draw, side, side, elements), side)
+
+
+# mostly zero, so that a summand may split into components of its own
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-6, 6),
+                           st.integers(-2 ** 70, 2 ** 70))
+
+
+@given(square_matrices(10, sparse_entries), square_matrices(10, sparse_entries),
+       st.randoms(use_true_random=False))
+def test_snf_of_a_permuted_direct_sum_merges_the_summands(a, b, rng):
+    # the direct sum of A and B, its rows and its columns shuffled, has the
+    # invariant factors of the diagonal that A's and B's make together and,
+    # both being square, the sum of their zero counts
+    side = a.rows + b.rows
+    row_perm, col_perm = rng.sample(range(side), side), rng.sample(range(side), side)
+    moved = [{} for _ in range(side)]
+    for m, offset in ((a, 0), (b, a.rows)):
+        for i in range(m.rows):
+            moved[row_perm[offset + i]] = {col_perm[offset + j]: v
+                                           for j, v in m.pairs(i)}
+    for fill in (0, inf):
+        with patch.object(bigmat, "_DENSE_FILL", fill):
+            sa, sb = snf(a), snf(b)
+            inv = snf(IntMatrix.from_rows(moved, side))
+        assert inv.factors == tuple(_divisibility_chain(sa.factors + sb.factors))
+        assert inv.zero_count == sa.zero_count + sb.zero_count
 
 
 # (operation, on columns, line i, line j, multiplier); i and j are reduced
