@@ -8,6 +8,7 @@ share between threads.
 from __future__ import annotations
 
 import re
+from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import itemgetter
 from struct import pack
@@ -311,57 +312,75 @@ def _divisibility_chain(entries: Iterable[int]) -> list:
 # _eliminate leaves its dict rows for packed rows once the nonzeros of the
 # active block reach this fraction of its rows times its columns
 _DENSE_FILL = 0.5
-# a packed row holds one signed 64-bit slot per active column; every entry
-# stays below _SLOT_LIMIT in absolute value, half the slot's range
-_SLOT_LIMIT = 1 << 62
-_SLOT_MASK = (1 << 64) - 1
-_SLOT_BIAS = 1 << 63
+# the slot widths, in bits, that struct packs and memoryview casts as one code;
+# wider slots go through int.to_bytes and int.from_bytes
+_SLOT_CODES = {16: "h", 32: "i", 64: "q"}
 
 
-def _pack_row(values: list, bias: int) -> int:
-    """One int holding the given entries, entry j at bits 64j on, as an exact
-    signed sum; `bias` holds 2^63 in each of their slots."""
-    return (int.from_bytes(pack(f"<{len(values)}q", *values), "little") ^ bias) - bias
+def _slot_bias(bits: int, width: int) -> int:
+    """2^(bits-1) in each of `width` slots of `bits` bits."""
+    return int.from_bytes((1 << bits - 1).to_bytes(bits // 8, "little") * width, "little")
 
 
-def _unpack_row(row: int, bias: int, width: int) -> list:
+def _pack_row(values: list, bits: int, bias: int) -> int:
+    """One int holding the given entries, entry j at bits `bits`*j on, as an
+    exact signed sum; `bias` is `_slot_bias(bits, len(values))`."""
+    code = _SLOT_CODES.get(bits)
+    if code:
+        raw = pack(f"<{len(values)}{code}", *values)
+    else:
+        raw = b"".join(v.to_bytes(bits // 8, "little", signed=True) for v in values)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpack_row(row: int, bits: int, bias: int, width: int) -> list:
     """The `width` entries of a packed row, inverse of `_pack_row`."""
-    raw = ((row + bias) ^ bias).to_bytes(8 * width, "little")
-    return memoryview(raw).cast("q").tolist()
+    size = bits // 8
+    raw = ((row + bias) ^ bias).to_bytes(size * width, "little")
+    code = _SLOT_CODES.get(bits)
+    if code:
+        return memoryview(raw).cast(code).tolist()
+    return [int.from_bytes(raw[i:i + size], "little", signed=True)
+            for i in range(0, len(raw), size)]
 
 
-def _packed_tail(rows: dict, cols: dict) -> tuple:
-    """Go on with `_eliminate` on packed rows, writing neither argument:
-    each active row becomes one int with a slot per active column, so a row
-    update R - q*P is one big-int expression instead of one Python step per
-    cell.  Each row keeps a bound on its largest |entry|, and an update adds
-    |q| times the pivot row's bound to it; a bound that reaches _SLOT_LIMIT
-    is first made exact by unpacking both rows.
-    Returns (found, rest): the nonzero diagonal entries produced and the
-    {key: row} dicts left for the dict loop.  `rest` is `rows` itself if an
-    entry already reaches _SLOT_LIMIT, so nothing is packed; the unpacked
-    rows keyed by their packed position if an exact bound still reaches it;
-    and empty if the block is finished.
+def _packed_tail(rows: dict, cols: dict) -> list:
+    """Finish `_eliminate`'s block on packed rows, writing neither argument,
+    and return the nonzero diagonal entries produced: each active row
+    becomes one int with a slot per active column, so a row update R - q*P
+    is one big-int expression instead of one Python step per cell.
+
+    Every entry stays below a quarter of its slot's range, 2^(bits-2) in
+    absolute value, by a bound kept per row; slots start at the narrowest
+    of 16, 32, 64, 128, ... bits that holds the block's largest entry.  An
+    update adds |q| times the pivot row's bound to the row's bound.  A
+    bound that reaches the limit repacks every row at twice the width,
+    which always suffices; at 64 bits and wider both bounds are first made
+    exact by unpacking the two rows, and the slots widen only if the exact
+    bound still reaches the limit.  The bounds, and so the pivots, are
+    thus those of 64-bit slots alone wherever those would finish.
     """
-    bound = [max(map(abs, row.values())) for row in rows.values()]
-    if max(bound) >= _SLOT_LIMIT:
-        return [], rows
     order = sorted(cols)
     slot = {c: k for k, c in enumerate(order)}
     width = len(order)
-    bias = int.from_bytes(_SLOT_BIAS.to_bytes(8, "little") * width, "little")
-    packed = []
+    bound = [max(map(abs, row.values())) for row in rows.values()]
+    grid = []
     for row in rows.values():
         values = [0] * width
         for c, v in row.items():
             values[slot[c]] = v
-        packed.append(_pack_row(values, bias))
+        grid.append(values)
+    bits = 16
+    while max(bound) >> bits - 2:
+        bits *= 2
+    bias, limit = _slot_bias(bits, width), 1 << bits - 2
+    packed = [_pack_row(values, bits, bias) for values in grid]
     found = []
     while packed:
         # the pivot row has the least bound, and the pivot is its entry of
         # least |value|
         pr = min(range(len(packed)), key=bound.__getitem__)
-        values = _unpack_row(packed[pr], bias, width)
+        values = _unpack_row(packed[pr], bits, bias, width)
         sizes = list(map(abs, values))
         least = min(filter(None, sizes), default=0)
         if not least:
@@ -370,8 +389,8 @@ def _packed_tail(rows: dict, cols: dict) -> tuple:
         bound[pr] = max(sizes)
         pc = sizes.index(least)
         while True:
-            shift = 64 * pc
-            column = [((r + bias) >> shift & _SLOT_MASK) - _SLOT_BIAS for r in packed]
+            shift, mask, half = bits * pc, (1 << bits) - 1, 1 << bits - 1
+            column = [((r + bias) >> shift & mask) - half for r in packed]
             while True:
                 # nearest-quotient row steps clear the column under the pivot
                 p = column[pr]
@@ -386,14 +405,18 @@ def _packed_tail(rows: dict, cols: dict) -> tuple:
                     if not q:
                         continue
                     b = bound[r] + abs(q) * bound[pr]
-                    if b >= _SLOT_LIMIT:
-                        bound[pr] = max(map(abs, _unpack_row(prow, bias, width)))
-                        b = (max(map(abs, _unpack_row(packed[r], bias, width)))
+                    if b >= limit and bits >= 64:
+                        bound[pr] = max(map(abs, _unpack_row(prow, bits, bias, width)))
+                        b = (max(map(abs, _unpack_row(packed[r], bits, bias, width)))
                              + abs(q) * bound[pr])
-                        if b >= _SLOT_LIMIT:
-                            return found, {i: {c: v for c, v in zip(
-                                order, _unpack_row(r, bias, width)) if v}
-                                for i, r in enumerate(packed) if r}
+                    if b >= limit:
+                        # b < limit^2 + limit, as |q| <= |v| < limit, so one
+                        # doubling to a limit of 4 * limit^2 holds it
+                        grid = [_unpack_row(x, bits, bias, width) for x in packed]
+                        bits *= 2
+                        bias, limit = _slot_bias(bits, width), 1 << bits - 2
+                        packed = [_pack_row(values, bits, bias) for values in grid]
+                        prow = packed[pr]
                     packed[r] -= q * prow
                     # a row that turns zero is dropped at the next pivot
                     bound[r] = b if packed[r] else 0
@@ -404,7 +427,7 @@ def _packed_tail(rows: dict, cols: dict) -> tuple:
                 pr = min(left, key=lambda r: (abs(column[r]), bound[r]))
             # nearest-quotient column steps reduce the rest of the pivot row;
             # its column is clean, so they touch no other row
-            values = _unpack_row(packed[pr], bias, width)
+            values = _unpack_row(packed[pr], bits, bias, width)
             rest = []
             for c, x in enumerate(values):
                 if x and c != pc:
@@ -418,19 +441,10 @@ def _packed_tail(rows: dict, cols: dict) -> tuple:
                 found.append(p)
                 del packed[pr], bound[pr]
                 break
-            packed[pr] = _pack_row(values, bias)
+            packed[pr] = _pack_row(values, bits, bias)
             bound[pr] = max(map(abs, values))
             pc = min(rest, key=lambda c: abs(values[c]))
-    return found, {}
-
-
-def _column_index(rows: dict) -> dict:
-    """The column -> row-key set index of `_eliminate`'s {key: row} dicts."""
-    cols: dict = {}
-    for i, row in rows.items():
-        for c in row:
-            cols.setdefault(c, set()).add(i)
-    return cols
+    return found
 
 
 def _components(m: IntMatrix):
@@ -489,31 +503,33 @@ def _eliminate(m: IntMatrix) -> list:
     a remainder in the pivot row going to the shortest column.  Pivots thus
     strictly shrink in absolute value, so the loop terminates.
 
-    The dense phase starts, at most once per component, when its active
-    nonzeros reach _DENSE_FILL times its rows times its columns (a test of
-    the whole matrix would let components dilute each other's fill):
-    `_packed_tail` packs each active row into one int, a signed 64-bit slot
-    per active column, and finishes with the same steps, each row update
-    one big-int expression.  Every packed entry stays below 2^62 in
-    absolute value by a bound kept per row; an update that could reach
-    2^62, or an entry that already does when the phase starts, leaves the
-    block to this dict loop, so the answer is exact for every input.
+    Each component keeps its nonzero count as it goes, and a heap of
+    (length, key) pairs in which a row is pushed again whenever its length
+    changes; a pair whose row is gone or has another length is dropped when
+    it reaches the top.  The top pair is then the least (length, key), the
+    first shortest row, and neither the pivot search nor the fill test
+    scans the active rows.
+
+    The dense phase starts once per component, when its active nonzeros
+    reach _DENSE_FILL times its rows times its columns (a test of the whole
+    matrix would let components dilute each other's fill): `_packed_tail`
+    packs each active row into one int, a signed slot per active column,
+    and finishes the component with the same steps, each row update one
+    big-int expression, widening its slots as the entries grow.
     """
     diag = []
     for rows, cols in _components(m):
-        dense = False
+        nonzeros = sum(map(len, rows.values()))
+        lengths = [(len(row), r) for r, row in rows.items()]
+        heapify(lengths)
         while rows:
-            if not dense and (sum(map(len, rows.values()))
-                              >= _DENSE_FILL * len(rows) * len(cols)):
-                dense = True
-                found, rest = _packed_tail(rows, cols)
-                diag += found
-                if rest is not rows:  # a fresh index of rows may reorder its sets
-                    rows, cols = rest, _column_index(rest)
-                continue
-            # rows are never re-inserted, so dict order is index order and this
-            # is the first shortest row
-            pr = min(zip(map(len, rows.values()), rows))[1]
+            if nonzeros >= _DENSE_FILL * len(rows) * len(cols):
+                diag += _packed_tail(rows, cols)
+                break
+            size, pr = lengths[0]
+            while pr not in rows or len(rows[pr]) != size:
+                heappop(lengths)
+                size, pr = lengths[0]
             row = rows[pr]
             pc = min(row, key=lambda c: (abs(row[c]), len(cols[c])))
             while True:
@@ -526,6 +542,7 @@ def _eliminate(m: IntMatrix) -> list:
                     if 2 * abs(rem) > abs(p):
                         q += 1
                     if q:
+                        before = len(row)
                         for c, x, col in cells:
                             y = row.get(c)
                             if y is None:  # fill: -q * x is nonzero
@@ -540,10 +557,14 @@ def _eliminate(m: IntMatrix) -> list:
                                     col.discard(r)
                         if not row:
                             del rows[r]
+                        elif len(row) != before:
+                            heappush(lengths, (len(row), r))
+                        nonzeros += len(row) - before
                 left = [r for r in cols[pc] if r != pr]
                 if left:
                     pr = min(left, key=lambda r: abs(rows[r][pc]))
                     continue
+                before = len(prow)
                 for c in [c for c in prow if c != pc]:
                     rem = prow[c] % p
                     prow[c] = rem - p if 2 * abs(rem) > abs(p) else rem
@@ -552,10 +573,14 @@ def _eliminate(m: IntMatrix) -> list:
                         cols[c].discard(pr)
                         if not cols[c]:
                             del cols[c]
+                nonzeros += len(prow) - before
                 if len(prow) == 1:
                     diag.append(p)
+                    nonzeros -= 1
                     del rows[pr], cols[pc]
                     break
+                if len(prow) != before:
+                    heappush(lengths, (len(prow), pr))
                 pc = min((c for c in prow if c != pc),
                          key=lambda c: (abs(prow[c]), len(cols[c])))
     return diag

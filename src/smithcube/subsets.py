@@ -9,7 +9,7 @@ order is needed.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 
 from .bigmat import SIZE_CAP, IntMatrix
@@ -85,10 +85,15 @@ def incidence_matrix(n: int, t: int, k: int) -> IntMatrix:
     if nonzeros > NONZERO_CAP:
         raise ValueError(f"W({n}, {t}, {k}) has {nonzeros} nonzeros, above the "
                          f"cap 3^{SIZE_CAP} = {NONZERO_CAP}")
-    # each larger subset lists the smaller ones among its own bits, and t < k
-    # is the transpose, so the cost follows the nonzeros and never scans all
-    # n bits of a row
-    pos = {c: i for i, c in enumerate(enumerate_subsets(n, small))}
-    w = IntMatrix.from_rows(({pos[sum(e)]: 1 for e in combinations(_bits(s), small)}
-                             for s in enumerate_subsets(n, big)), len(pos))
-    return w if t >= k else w.transpose()
+    # row s lists its columns' masks itself: the k-combinations of its own
+    # bits (t >= k), or s plus each (k - t)-combination of its complement's
+    # bits (t < k).  Bits taken highest first make the masks fall, so each
+    # reversed row is in colex order with nothing sorted or transposed;
+    # s ^ flip is s's complement for t < k and s itself otherwise
+    flip, size = ((1 << n) - 1, k - t) if t < k else (0, k)
+    pos = {c: i for i, c in enumerate(enumerate_subsets(n, k))}
+    data = []
+    for s in enumerate_subsets(n, t):
+        masks = map(sum, combinations(_bits(s ^ flip)[::-1], size), repeat(s & flip))
+        data.append(tuple(zip([*map(pos.__getitem__, masks)][::-1], repeat(1))))
+    return IntMatrix._stored(tuple(data), len(pos))

@@ -370,27 +370,13 @@ def _spied(monkeypatch, name):
     return calls
 
 
-def _handed_back(monkeypatch):
-    """The number of rows each `_packed_tail` call hands back, read as it
-    returns, before the dict loop consumes them."""
-    sizes = []
-    real = bigmat._packed_tail
-
-    def spy(rows, cols):
-        found, rest = real(rows, cols)
-        sizes.append(len(rest))
-        return found, rest
-    monkeypatch.setattr(bigmat, "_packed_tail", spy)
-    return sizes
-
-
 def test_packed_tail_finishes_a_dense_block(monkeypatch):
     # forced from the first pivot on, the packed rows finish each of A(6)'s
-    # two components and give its closed form
+    # two components in 16-bit slots and give its closed form
     monkeypatch.setattr(bigmat, "_DENSE_FILL", 0)
-    packs, hand_backs = _spied(monkeypatch, "_pack_row"), _handed_back(monkeypatch)
+    packs, tails = _spied(monkeypatch, "_pack_row"), _spied(monkeypatch, "_packed_tail")
     assert snf(adjacency(6)) == InvariantFactors((1,) * 32 + (2,) * 10 + (6,) * 2, 20)
-    assert packs and hand_backs == [0, 0]
+    assert len(tails) == 2 and {bits for _, bits, _ in packs} == {16}
 
 
 def test_packed_tail_switches_per_component(monkeypatch):
@@ -405,14 +391,18 @@ def test_packed_tail_switches_per_component(monkeypatch):
         assert 0 < len(rows) <= 128 and 0 < len(cols) <= 128
 
 
-def test_packed_tail_hands_back_at_the_slot_limit(monkeypatch):
+def test_packed_tail_widens_at_the_slot_limit(monkeypatch):
     # pivot 3 leaves remainder 1, and clearing the 3 under that new pivot
     # would add 3 * 2^61 to the other row: the bound stays at 2^62 once
-    # made exact, so the block goes back to the dict loop
+    # made exact, so both rows are repacked in 128-bit slots
+    m = from_grid([[1, 2 ** 61], [3, 0]])
+    answer = InvariantFactors((1, 3 * 2 ** 61), 0)
+    monkeypatch.setattr(bigmat, "_DENSE_FILL", float("inf"))
+    assert snf(m) == answer
     monkeypatch.setattr(bigmat, "_DENSE_FILL", 0)
-    hand_backs = _handed_back(monkeypatch)
-    assert snf(from_grid([[1, 2 ** 61], [3, 0]])) == InvariantFactors((1, 3 * 2 ** 61), 0)
-    assert hand_backs == [2]
+    packs = _spied(monkeypatch, "_pack_row")
+    assert snf(m) == answer
+    assert [bits for _, bits, _ in packs] == [64, 64, 128, 128]
 
 
 def _random_draw(seed, n=300, density=0.02):
@@ -424,42 +414,68 @@ def _random_draw(seed, n=300, density=0.02):
                                 for _ in range(n)), n)
 
 
-def test_packed_tail_hands_back_many_rows(monkeypatch):
-    # the draw is one component; the fill passes 2^62 with 52 of its rows
-    # still active, and the dict loop finishes them with the rows keyed by
-    # their packed positions
+def test_packed_tail_widens_on_a_random_draw(monkeypatch):
+    # the draw is one component; its packed entries outgrow 16, 32, 64 and
+    # 128-bit slots with rows still active, and the tail finishes them in
+    # 256-bit slots with the dict loop's answer
     m = _random_draw(1)
-    hand_backs = _handed_back(monkeypatch)
+    packs, tails = _spied(monkeypatch, "_pack_row"), _spied(monkeypatch, "_packed_tail")
     answer = snf(m)
-    assert hand_backs == [52]
+    assert len(tails) == 1
+    assert sorted({bits for _, bits, _ in packs}) == [16, 32, 64, 128, 256]
     monkeypatch.setattr(bigmat, "_DENSE_FILL", float("inf"))
-    assert snf(m) == answer and hand_backs == [52]
+    assert snf(m) == answer and len(tails) == 1
 
 
-@pytest.mark.parametrize("grid, left", [
-    ([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], 0),  # finishes
-    ([[2 ** 62, 1], [1, 1]], None),  # packs nothing
-    ([[1, 2 ** 61], [3, 0]], 2)])  # hands back
-def test_packed_tail_writes_neither_argument(grid, left):
-    rows = {i: dict(from_grid(grid).pairs(i)) for i in range(len(grid))}
-    cols = bigmat._column_index(rows)
+@pytest.mark.parametrize("grid, bits", [
+    ([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], 16),
+    ([[2 ** 62, 1], [1, 1]], 128),  # starts wide
+    ([[1, 2 ** 61], [3, 0]], 128)])  # widens
+def test_packed_tail_writes_neither_argument(monkeypatch, grid, bits):
+    # bits is the widest slot the tail packs; its diagonal has the dict
+    # loop's invariant factors
+    m = from_grid(grid)
+    rows = {i: dict(m.pairs(i)) for i in range(len(grid))}
+    cols: dict = {}
+    for i, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(i)
     before = copy.deepcopy((rows, cols))
-    found, rest = bigmat._packed_tail(rows, cols)
-    assert (rows, cols) == before
-    if left is None:
-        assert (found, rest) == ([], rows) and rest is rows
-    else:
-        assert len(rest) == left
-
-
-def test_packed_tail_packs_nothing_with_an_entry_at_the_slot_limit(monkeypatch):
-    monkeypatch.setattr(bigmat, "_DENSE_FILL", 0)
     packs = _spied(monkeypatch, "_pack_row")
-    for big in (2 ** 62, -2 ** 62, 2 ** 80):
-        assert snf(from_grid([[big, 1], [1, 1]])) == InvariantFactors((1, abs(big - 1)), 0)
-    assert not packs
-    assert snf(from_grid([[2 ** 62 - 1, 1], [1, 1]])) == InvariantFactors((1, 2 ** 62 - 2), 0)
-    assert packs
+    found = bigmat._packed_tail(rows, cols)
+    assert (rows, cols) == before
+    assert max(b for _, b, _ in packs) == bits
+    monkeypatch.setattr(bigmat, "_DENSE_FILL", float("inf"))
+    assert tuple(bigmat._divisibility_chain(found)) == snf(m).factors
+
+
+def test_packed_tail_finishes_entries_past_the_slot_limit(monkeypatch):
+    # the first slots are the narrowest whose quarter range holds the
+    # largest entry; 2^61 widens on its first update
+    packs = _spied(monkeypatch, "_pack_row")
+    for big, first in ((2 ** 61, 64), (2 ** 62 - 1, 64), (2 ** 62, 128),
+                       (-2 ** 62, 128), (2 ** 80, 128)):
+        m = from_grid([[big, 1], [1, 1]])
+        answer = InvariantFactors((1, abs(big - 1)), 0)
+        monkeypatch.setattr(bigmat, "_DENSE_FILL", float("inf"))
+        assert snf(m) == answer
+        monkeypatch.setattr(bigmat, "_DENSE_FILL", 0)
+        packs.clear()
+        assert snf(m) == answer
+        assert packs[0][1] == first
+        assert max(bits for _, bits, _ in packs) == 128
+
+
+def test_snf_of_a_long_path_is_the_identity_form():
+    # one sparse component of 16384 rows: neither the fill test nor the
+    # pivot search rescans its rows, so this is linear (18.8 s when both
+    # scanned every active row at each pivot)
+    n = 1 << 14
+    path = IntMatrix.from_rows(({i: 1, i + 1: 1} if i + 1 < n else {i: 1}
+                                for i in range(n)), n)
+    t0 = time.process_time()
+    assert snf(path) == InvariantFactors((1,) * n, 0)
+    assert time.process_time() - t0 < 5.0
 
 
 def _bipartite_block(n):
@@ -483,6 +499,22 @@ def test_snf_of_cube_blocks_and_relabellings_keeps_its_digest():
         inv = snf(m)
         digest.update(f"{inv.factors} {inv.zero_count}\n".encode())
     assert digest.hexdigest() == SNF_DIGEST
+
+
+# sha256 of the raw diagonal list `_eliminate` returns, one line each, for
+# the same matrices; recorded with the pivot search that rescanned the
+# active rows and 64-bit slots only, whose packed tail finished on each
+ELIMINATE_DIGEST = "4d802cdb584cc97085dceb79440e33335d6abbb01e0f257b40e31a183b33ed76"
+
+
+def test_eliminate_keeps_its_pivot_order():
+    inputs = _perfbench_inputs()
+    matrices = [_bipartite_block(n) for n in range(2, 11)]
+    matrices += [from_text(t) for seed in (1, 2, 3) for t in inputs.relabellings(seed)]
+    digest = hashlib.sha256()
+    for m in matrices:
+        digest.update(f"{bigmat._eliminate(m)}\n".encode())
+    assert digest.hexdigest() == ELIMINATE_DIGEST
 
 
 def test_snf_transpose_invariance():

@@ -222,10 +222,11 @@ def test_snf_of_bipartite_matrix_doubles_snf_of_its_block(b):
 
 
 small_entries = st.integers(-6, 6)
-# within 2 of +-2^62, the packed tail's limit, and up to +-2^80, which no
-# 64-bit slot holds
-near_slot_limit = st.builds(lambda sign, d: sign * (2 ** 62 + d),
-                            st.sampled_from((1, -1)), st.integers(-2, 2))
+# within 2 of +-2^14, +-2^30 and +-2^62, the limits of the packed tail's
+# 16, 32 and 64-bit slots, and up to +-2^80, which no 64-bit slot holds
+near_slot_limit = st.builds(lambda sign, e, d: sign * (2 ** e + d),
+                            st.sampled_from((1, -1)), st.sampled_from((14, 30, 62)),
+                            st.integers(-2, 2))
 
 
 @given(st.one_of(int_matrices(24, small_entries),

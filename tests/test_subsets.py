@@ -118,6 +118,25 @@ def test_incidence_bounds():
         incidence_matrix(3, 1, -1)
 
 
+def test_incidence_matches_mask_inclusion():
+    # each row is written straight into storage, past from_rows' checks, so
+    # its columns must strictly increase within range and each value be 1
+    for n in range(11):
+        for t in range(n + 1):
+            for k in range(n + 1):
+                w = incidence_matrix(n, t, k)
+                rows, cols = enumerate_subsets(n, t), enumerate_subsets(n, k)
+                assert (w.rows, w.cols) == (len(rows), len(cols))
+                for i, s in enumerate(rows):
+                    pairs = w.pairs(i)
+                    assert all(type(v) is int and v == 1 for _, v in pairs)
+                    columns = [j for j, _ in pairs]
+                    assert columns == sorted(set(columns))
+                    assert all(0 <= j < len(cols) for j in columns)
+                    assert columns == [j for j, c in enumerate(cols)
+                                       if s & c == (s if t <= k else c)]
+
+
 def test_complement_transpose_identity():
     # complementing reverses inclusion and the colex order of masks
     for n in range(2, 11):
