@@ -9,11 +9,11 @@ group of the cube.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import comb
 
 from .bigmat import SIZE_CAP, IntMatrix, _combine, _packed
-from .subsets import incidence_matrix
+from .subsets import enumerate_subsets, incidence_matrix
 
 
 def _check_n(n: int) -> None:
@@ -31,9 +31,9 @@ def _require_even(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def vertex_order(n: int) -> tuple:
-    """All subset masks of {1..n}, sorted by (popcount, value)."""
-    # the sort is stable, so each size keeps increasing (colex) order
-    return tuple(sorted(range(1 << n), key=int.bit_count))
+    """All subset masks of {1..n}, sorted by (popcount, value): the colex
+    levels end to end."""
+    return tuple(chain.from_iterable(enumerate_subsets(n, k) for k in range(n + 1)))
 
 
 def adjacency(n: int) -> IntMatrix:

@@ -412,9 +412,31 @@ def smith_group_reduction(n: int) -> SmithGroupSummary:
 
 
 def same_group(a: SmithGroupSummary, b: SmithGroupSummary) -> bool:
-    """Equality as abelian groups: same free rank and invariant factors."""
-    return (a.free_rank == b.free_rank
-            and a.invariant_factor_rle() == b.invariant_factor_rle())
+    """Equality as abelian groups: the same free rank and the same number of
+    cyclic factors of each prime power p^e.  Each nonzero entry is factored
+    here, sharing no helper with any route, by trial division with every p
+    from 2 to n; a rest above 1 is kept whole as its own key, so a wrong
+    entry can neither hang the comparison nor match by accident, and a zero
+    entry is a mismatch."""
+    def table(summary):
+        out: dict = {}
+        for v, c in summary.nonzero.items():
+            rest = abs(v)
+            if not rest:
+                return None
+            for p in range(2, summary.n + 1):
+                e = 0
+                while rest % p == 0:
+                    rest, e = rest // p, e + 1
+                if e:
+                    out[p, e] = out.get((p, e), 0) + c
+                if rest == 1:
+                    break
+            if rest > 1:
+                out[rest, 1] = out.get((rest, 1), 0) + c
+        return out
+    ta = table(a)
+    return a.free_rank == b.free_rank and ta is not None and ta == table(b)
 
 
 # -- conjecture and Laplacian reports -------------------------------------

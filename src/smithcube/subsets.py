@@ -44,15 +44,26 @@ def _bits(s: int) -> list:
     return out
 
 
+def _colex(base: int, pool: int, r: int) -> list:
+    """base ^ y for every r-subset y of pool's bits, increasing, where pool's
+    bits are all clear or all set in base.  Bits taken highest first make
+    the y fall, so the list is reversed where they add to base; for 2r above
+    |pool| the complements of the (|pool| - r)-subsets are listed instead,
+    and r = 0 lists no bit."""
+    if 2 * r > pool.bit_count():
+        base, r = base ^ pool, pool.bit_count() - r
+    bits = _bits(pool)[::-1] if r else []
+    out = [*map(base.__xor__, map(sum, combinations(bits, r)))]
+    return out if base & pool else out[::-1]
+
+
 @lru_cache(maxsize=None)
 def enumerate_subsets(n: int, k: int) -> tuple:
     """All k-subsets of {1..n} as masks in colex order, i.e. increasing."""
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     _check_side(n, k)
-    # k = 0 takes no element: the n one-bit masks would hold O(n^2) bits
-    bits = [1 << x for x in range(n)] if k else []
-    return tuple(sorted(map(sum, combinations(bits, k))))
+    return tuple(_colex(0, (1 << n) - 1, k))
 
 
 def has_full_rank(s: int) -> bool:
@@ -85,15 +96,11 @@ def incidence_matrix(n: int, t: int, k: int) -> IntMatrix:
     if nonzeros > NONZERO_CAP:
         raise ValueError(f"W({n}, {t}, {k}) has {nonzeros} nonzeros, above the "
                          f"cap 3^{SIZE_CAP} = {NONZERO_CAP}")
-    # row s lists its columns' masks itself: the k-combinations of its own
-    # bits (t >= k), or s plus each (k - t)-combination of its complement's
-    # bits (t < k).  Bits taken highest first make the masks fall, so each
-    # reversed row is in colex order with nothing sorted or transposed;
-    # s ^ flip is s's complement for t < k and s itself otherwise
+    # row s lists its columns' masks itself: the k-subsets of its own bits
+    # (t >= k), or s plus each (k - t)-subset of its complement's bits
+    # (t < k); s ^ flip is s's complement for t < k and s itself otherwise
     flip, size = ((1 << n) - 1, k - t) if t < k else (0, k)
     pos = {c: i for i, c in enumerate(enumerate_subsets(n, k))}
-    data = []
-    for s in enumerate_subsets(n, t):
-        masks = map(sum, combinations(_bits(s ^ flip)[::-1], size), repeat(s & flip))
-        data.append(tuple(zip([*map(pos.__getitem__, masks)][::-1], repeat(1))))
-    return IntMatrix._stored(tuple(data), len(pos))
+    return IntMatrix._stored(tuple(
+        tuple(zip(map(pos.__getitem__, _colex(s & flip, s ^ flip, size)), repeat(1)))
+        for s in enumerate_subsets(n, t)), len(pos))

@@ -19,6 +19,12 @@ def test_vertex_order_n2():
     assert vertex_order(2) == (0, 1, 2, 3)
 
 
+def test_vertex_order_is_the_popcount_sort():
+    # the colex levels laid end to end, against the stable sort by size
+    for n in range(13):
+        assert vertex_order(n) == tuple(sorted(range(1 << n), key=int.bit_count))
+
+
 def test_adjacency_small_fixtures():
     assert adjacency(1) == from_grid([[0, 1], [1, 0]])
     assert adjacency(2) == from_grid([[0, 1, 1, 0],

@@ -483,6 +483,32 @@ def test_closed_form_row_does_not_reach_the_eigen_side(monkeypatch, capsys, cap)
     assert '"status":"mismatch"' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", ["6", "12", "640"])
+def test_reduction_without_the_prime_3_is_a_mismatch(monkeypatch, capsys, n):
+    # same_group factors the entries itself: a merge that drops a prime
+    # must not drop it on both sides of the comparison
+    original = reduction._positional_merge
+    monkeypatch.setattr(reduction, "_positional_merge", lambda tables, total:
+                        original({p: t for p, t in tables.items() if p != 3}, total))
+    assert cli.main(["smith-group", n, "--method", "all"]) == 2
+    assert '"status":"mismatch"' in capsys.readouterr().out
+
+
+def test_same_group_compares_prime_power_counts():
+    def summary(nonzero, n=4, free_rank=0):
+        return SmithGroupSummary(n, free_rank, nonzero)
+    # Z/6 is Z/2 + Z/3, and units add nothing
+    assert same_group(summary({6: 1, 1: 5}), summary({2: 1, 3: 1}))
+    assert not same_group(summary({4: 1}), summary({2: 2}))
+    assert not same_group(summary({2: 1}), summary({2: 1}, free_rank=1))
+    # 35 has no factor up to n = 4: it stays whole and matches no 5 and 7
+    assert not same_group(summary({35: 1}), summary({5: 1, 7: 1}))
+    assert same_group(summary({35: 1}, n=7), summary({5: 1, 7: 1}, n=7))
+    # a zero entry is a mismatch, even against itself
+    assert not same_group(summary({0: 1}), summary({0: 1}))
+    assert not same_group(summary({2: 1, 0: 1}), summary({2: 1}))
+
+
 # what every route may use: the basics of the exact integer layer, the
 # immutable record base and the summary each route returns; no route's
 # helper list may name one of these
@@ -522,14 +548,21 @@ def test_each_route_answers_without_the_helpers_of_the_others(monkeypatch, route
             for name in others & set(vars(module)):
                 patch.setattr(module, name, refuse(name))
         summary = entry(n)
-    assert same_group(summary, expected)
+        # nor does the comparison lean on any route's helper
+        for module in modules:
+            for name in set(own) & set(vars(module)):
+                patch.setattr(module, name, refuse(name))
+        assert same_group(summary, expected)
 
 
 def test_laplacian_partial():
-    for n in (2, 4, 8):
+    # A's counts are also twice the 2-part of M, the reduction's side of
+    # `verify laplacian`
+    for n, table in ((2, {0: 1}), (4, {0: 4, 1: 1}), (8, {0: 64, 1: 28, 2: 1})):
         comparisons = laplacian_partial_check(n)
         assert [i for i, _, _ in comparisons] == list(range(n.bit_length() - 1))
-        assert all(a == b for _, a, b in comparisons)
+        assert all(a == b == 2 * table[i] for i, a, b in comparisons)
+        assert two_local_divisors_of_M(n) == table
     with pytest.raises(ValueError):
         laplacian_partial_check(6)
 
@@ -544,6 +577,17 @@ def test_laplacian_check_sees_one_changed_entry(monkeypatch, capsys):
     monkeypatch.setattr(reduction, "_laplacian_of", bumped)
     assert laplacian_partial_check(8)[0] == (0, 128, 129)
     assert cli.main(["verify", "laplacian", "8"]) == 2
+    assert '"status":"mismatch"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", ["4", "8"])
+def test_laplacian_check_sees_counts_zeroed_below_the_top(monkeypatch, capsys, n):
+    # nI - A = -A mod n, so a kernel that reads 0 below its top level gives
+    # both sides the same wrong counts; only the reduction's side tells
+    original = reduction.two_adic_counts
+    monkeypatch.setattr(reduction, "two_adic_counts",
+                        lambda m, e: (0,) * (e - 1) + original(m, e)[-1:])
+    assert cli.main(["verify", "laplacian", n]) == 2
     assert '"status":"mismatch"' in capsys.readouterr().out
 
 

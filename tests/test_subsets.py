@@ -179,4 +179,17 @@ def test_incidence_cost_follows_nonzeros_at_large_n():
     assert incidence_matrix(n, 1, 0) == from_grid([[1]] * n)
     assert incidence_matrix(n, 0, 1) == from_grid([[1] * n])
     assert incidence_matrix(n, 1, 1) == IntMatrix.identity(n)
+    # k near n lists the complements of the few missing bits, never k masks
+    assert incidence_matrix(n, n, n - 1) == from_grid([[1] * n])
+    assert incidence_matrix(n, n - 1, n) == from_grid([[1]] * n)
     assert time.monotonic() - t0 < 5.0
+
+
+def test_enumeration_near_n_lists_the_complements():
+    # the 4095-subsets of {1..4096} are the complements of the 1-subsets,
+    # in reverse, and are listed as such, not as sums of 4095 masks
+    n, full = 4096, (1 << 4096) - 1
+    t0 = time.monotonic()
+    near = enumerate_subsets(n, n - 1)
+    assert time.monotonic() - t0 < 0.5
+    assert near == tuple(full ^ s for s in enumerate_subsets(n, 1))[::-1]
