@@ -70,7 +70,9 @@ def verify_bier(n: int) -> list:
     packed into ints at one slot width: with P the largest |entry| and R
     the largest absolute row sum of all the W, and D the largest |d|, no
     entry of the difference of the two sides exceeds (R + D) * P, and the
-    width is two bits wider, so equal packed rows have equal entries.
+    width is two bits wider, so equal packed rows have equal entries.  Each
+    right-hand row is a row of some W_{j,k}, which has C(n-j, k-j) >= 1 ones,
+    so a zero right-hand row fails the pair.
     """
     half = n // 2
     _check_half(n, half)  # refuse before any matrix is built
@@ -95,7 +97,7 @@ def verify_bier(n: int) -> list:
         for t in range(k + 1):
             labels = [(j, i) for j, i in full if j <= t]
             if len(labels) != len(d[t, k]) or not all(
-                    _combine(w[j, t].pairs(i), packed[t]) == dj * packed[j][i]
+                    _combine(w[j, t].pairs(i), packed[t]) == dj * packed[j][i] != 0
                     for (j, i), dj in zip(labels, d[t, k])):
                 failures.append([t, k])
     return failures

@@ -86,14 +86,15 @@ def verify_conjugacy(n: int) -> bool:
     vertex order, so Z's 3^n nonzeros are never listed.  An entry of A * Z
     is at most A's largest absolute row sum and one of Z * Atilde at most
     Atilde's largest absolute column sum; w is two bits wider than both, so
-    equal packed rows have equal entries."""
+    equal packed rows have equal entries.  No row is zero: the entry at the
+    empty set of row S of A * Z is n."""
     a, at, order = adjacency(n), monomial_adjacency(n), vertex_order(n)
     w = max(sum(abs(v) for _, v in m.pairs(i)) for m in (a, at.transpose())
             for i in range(m.rows)).bit_length() + 2
     z = _subset_sums(n, (1 << w * c for c in range(1 << n)))
     z = [z[s] for s in order]
     zat = _subset_sums(n, _packed(at, w))
-    return all(_combine(a.pairs(i), z) == zat[s] for i, s in enumerate(order))
+    return all(_combine(a.pairs(i), z) == zat[s] != 0 for i, s in enumerate(order))
 
 
 def graded_blocks(n: int, row_sizes, col_sizes, up) -> IntMatrix:
@@ -143,7 +144,9 @@ def build_N(n: int) -> IntMatrix:
 def _replay(n: int, m_block: IntMatrix, n_block: IntMatrix) -> bool:
     """Turn N around and compare it with M: N's block row of size i, offset
     p, is M's block column n-i, offset p, its block column of size k, offset
-    q, M's block row n-k, offset q, and each entry picks up -(-1)^(i+k)."""
+    q, M's block row n-k, offset q, and each entry picks up -(-1)^(i+k).
+    Each row of M has a size i < n/2 and holds its row of W_{i,i+1} beside
+    its diagonal, so a row with no other entry fails."""
     ends = list(accumulate((comb(n, s) for s in range(n // 2 + 1)), initial=0))
     cols, rows = ([(ends[n - s] + p, (-1) ** s) for s in range(lo, n + 1)
                    for p in range(comb(n, s))] for lo in (n // 2, n // 2 + 1))
@@ -152,7 +155,8 @@ def _replay(n: int, m_block: IntMatrix, n_block: IntMatrix) -> bool:
         for j, v in n_block.pairs(i):
             r, sr = rows[j]
             out[r][c] = -sr * sc * v
-    return IntMatrix.from_rows(out, len(cols)) == m_block
+    return IntMatrix.from_rows(out, len(cols)) == m_block and all(
+        any(c != r for c, _ in m_block.pairs(r)) for r in range(m_block.rows))
 
 
 def verify_half_lemma(n: int) -> bool:

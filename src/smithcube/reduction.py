@@ -442,29 +442,20 @@ def same_group(a: SmithGroupSummary, b: SmithGroupSummary) -> bool:
 # -- conjecture and Laplacian reports -------------------------------------
 
 
-def _two_adic_table(counts: dict) -> dict:
-    """{e: multiplicity} of a multiset given as value -> multiplicity, where
-    e = v2(value) is the index of the value's lowest set bit."""
-    table: dict = {}
-    for x, c in counts.items():
-        e = (x & -x).bit_length() - 1
-        table[e] = table.get(e, 0) + c
-    return table
-
-
 def verify_conjecture(n: int, oracle_cap: int) -> bool:
-    """2^i occurs among the 2-elementary divisors as often as an eigenvalue
-    is exactly divisible by 2^(i+1), that is its half by 2^i, and the free
-    rank is the multiplicity of the eigenvalue 0; n even.  The divisor side
-    is the oracle's summary up to oracle_cap, the reduction's beyond it."""
+    """For n = 2m the Smith group is the diagonal of the halved nonzero
+    eigenvalues, |m - l| with multiplicity C(n, l) for l != m, plus the free
+    rank C(n, m), the multiplicity of the eigenvalue 0.  Its p = 2 part is the
+    2-adic correspondence: 2^i occurs among the 2-elementary divisors as often
+    as an eigenvalue is exactly divisible by 2^(i+1).  The divisor side,
+    compared by `same_group`, is the oracle's summary up to oracle_cap, the
+    reduction's beyond it."""
     _require_even(n)
     summary = (smith_group_oracle(n) if n <= oracle_cap
                else smith_group_reduction(n))
     eigen = eigenvalue_diagonal(n)
-    zero_eigen = eigen.pop(0)
-    return (_two_adic_table(summary.nonzero)
-            == _two_adic_table({v // 2: c for v, c in eigen.items()})
-            and summary.free_rank == zero_eigen)
+    return same_group(summary, SmithGroupSummary(
+        n, eigen.pop(0), {v // 2: c for v, c in eigen.items()}))
 
 
 def laplacian_partial_check(n: int) -> tuple:

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from smithcube import cli, cube
+from smithcube import canonical, cli, cube
 from smithcube.bigmat import IntMatrix, snf
 from smithcube.cube import (adjacency, build_M, build_N, graded_blocks,
                             laplacian, monomial_adjacency, verify_conjugacy,
@@ -120,6 +120,15 @@ def test_conjugacy_fails_on_one_changed_entry(capsys, monkeypatch, builder,
     assert json.loads(capsys.readouterr().out)["status"] == "mismatch"
 
 
+def test_conjugacy_refuses_zero_subset_sums(capsys, monkeypatch):
+    # zero sums make A * Z and Z * Atilde both zero, but row S of A * Z holds
+    # n at the empty set
+    monkeypatch.setattr(cube, "_subset_sums", lambda n, rows: [0] * (1 << n))
+    assert verify_conjugacy(6) is False
+    assert cli.main(["verify", "conjugacy", "6"]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "mismatch"
+
+
 def test_graded_blocks_places_blocks_and_rejects_wrong_shape():
     ups = {0: from_grid([[1, 2, 3]]), 1: from_grid([[4, 0, 0], [0, 5, 0], [0, 0, 6]])}
     # (3 - 2i) I on each size i that is also a column size, up(i) one size on
@@ -169,6 +178,17 @@ def test_half_lemma_replay_rejects_every_sign_flip():
         flipped = _with_entry(n_block, i, j, lambda x: -x)
         assert snf(flipped.transpose()) == snf(m_block), (i, j)
         assert not cube._replay(4, m_block, flipped), (i, j)
+
+
+@pytest.mark.parametrize("target", ["bier", "half"])
+def test_verify_refuses_zero_inclusion_matrices(capsys, monkeypatch, target):
+    # zero W of the right shape make Bier's sides 0 = D * 0 and M and N both
+    # diagonal; every W_{j,k}, j <= k <= n/2, has ones
+    for module in (canonical, cube):
+        monkeypatch.setattr(module, "incidence_matrix", lambda n, t, k:
+                            IntMatrix.zeros(comb(n, t), comb(n, k)))
+    assert cli.main(["verify", target, "8"]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "mismatch"
 
 
 def test_free_rank_even():

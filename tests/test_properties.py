@@ -14,7 +14,7 @@ from smithcube import bigmat
 from smithcube.bigmat import (IntMatrix, _divisibility_chain, from_text, snf,
                               to_text, two_adic_counts)
 from smithcube.reduction import (_binomial_row, _positional_merge,
-                                 _two_adic_table, invariant_factor_rle)
+                                 invariant_factor_rle)
 
 from grids import from_grid, valuation
 
@@ -36,23 +36,6 @@ def _rle(chain: list) -> tuple:
 @given(st.integers(0, 300), st.integers(0, 300))
 def test_binomial_row_matches_comb(n, k):
     assert _binomial_row(n, k) == [comb(n, j) for j in range(k + 1)]
-
-
-# nonzero ints of either sign up to 2^420 in absolute value, with 2-adic
-# valuations from 0 to 400
-two_adic_values = st.builds(lambda unit, shift: unit << shift,
-                            st.integers(-2 ** 20, 2 ** 20).filter(bool),
-                            st.integers(0, 400))
-
-
-@given(st.dictionaries(two_adic_values, st.integers(0, 10 ** 30), max_size=8))
-def test_two_adic_table_matches_the_reference_valuation(counts):
-    # the lowest-set-bit tally against repeated division by 2
-    expected: dict = {}
-    for x, c in counts.items():
-        e = valuation(x, 2)
-        expected[e] = expected.get(e, 0) + c
-    assert _two_adic_table(counts) == expected
 
 
 @given(small_counts)

@@ -442,17 +442,21 @@ def _changed(monkeypatch, name: str, change) -> None:
     ("eigenvalue_diagonal", lambda d: _moved(d, 2, 4, 1)),
     ("smith_group_oracle",
      lambda s: SmithGroupSummary(s.n, s.free_rank + 1, s.nonzero)),
-], ids=["divisor-pair-2-to-4", "eigenvalue-2-to-4", "free-rank-plus-1"])
+    ("smith_group_oracle",
+     lambda s: SmithGroupSummary(s.n, s.free_rank, _moved(s.nonzero, 6, 2, 2))),
+], ids=["divisor-pair-2-to-4", "eigenvalue-2-to-4", "free-rank-plus-1",
+        "divisor-pair-6-to-2"])
 def test_conjecture_below_cap_checks_the_oracle(monkeypatch, name, change):
     # below the cap the divisor side is the oracle's summary; each change
-    # keeps the number of nonzero entries on its side
+    # keeps the number of nonzero entries on its side, and two 6s read as 2
+    # keep the 2-adic table too, so only the odd primes see that group
     _changed(monkeypatch, name, change)
     assert not verify_conjecture(8, oracle_cap=8)
 
 
 def test_conjecture_reports_a_zero_divisor_as_a_mismatch(monkeypatch, capsys):
-    # a zero key, which only a faulty route could hand over, has no 2-adic
-    # exponent; the tally files it under -1, which no eigenvalue reaches
+    # a zero key, which only a faulty route could hand over, is a mismatch
+    # in `same_group`, never a loop
     _changed(monkeypatch, "smith_group_oracle", lambda s: SmithGroupSummary(
         s.n, s.free_rank, _moved(s.nonzero, 2, 0, 2)))
     assert not verify_conjecture(8, oracle_cap=8)
