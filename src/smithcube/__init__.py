@@ -8,7 +8,8 @@ from .reduction import (CondensedMatrix, SmithGroupSummary, build_B,
                         build_condensed, laplacian_partial_check,
                         reduce_condensed, same_group, smith_group,
                         smith_group_oracle, smith_group_reduction,
-                        two_local_divisors_of_M, verify_conjecture)
+                        two_local_divisors_of_M, verify_conjecture,
+                        verify_shadow)
 from .subsets import (count_full_rank, enumerate_subsets, has_full_rank,
                       incidence_matrix)
 

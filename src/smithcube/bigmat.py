@@ -98,7 +98,13 @@ class IntMatrix(_Record):
 
     @classmethod
     def _stored(cls, data: tuple, cols: int) -> "IntMatrix":
-        """Wrap rows that are already nonzero pairs in column order."""
+        """Wrap rows that already hold the storage invariant, unchecked:
+        data is a tuple of rows, each a tuple of (col, value) pairs with
+        plain int columns strictly rising in 0..cols-1 and nonzero plain int
+        values, and cols is a plain int >= 0.  The constructed matrices
+        write through here (W and E by one row writer in `subsets`, D, A,
+        nI - A, the graded blocks, the stacked basis and the expanded
+        shadow), as do the arithmetic and `from_text`."""
         m = object.__new__(cls)
         _Record.__init__(m, len(data), cols, data)
         return m
@@ -110,9 +116,12 @@ class IntMatrix(_Record):
 
     @classmethod
     def from_rows(cls, rows: Iterable[dict], cols: int) -> "IntMatrix":
-        """Matrix with one {col: value} dict per row, the one builder.
-        `cols` is a plain int >= 0, values and columns are plain ints,
-        columns lie in 0..cols-1 and zero values are dropped."""
+        """Matrix with one {col: value} dict per row, checked and sorted
+        into the storage invariant of `_stored`: the builder for rows from
+        outside, in any column order.  `cols` is a plain int >= 0, values
+        and columns are plain ints, columns lie in 0..cols-1 and zero
+        values are dropped.  In the package only `identity`, `diagonal` and
+        the half lemma's replay of N, whose rows arrive out of order, use it."""
         _check_count(cols, "column")
         data = []
         for row in rows:
@@ -663,12 +672,20 @@ _WORDS = re.compile(r"(?<![^ \n])(?:0|-?[1-9][0-9]*)(?![^ \n])")
 
 def to_text(m: IntMatrix) -> str:
     """Serialize in the sparse-triple format: header "rows cols", one line
-    "i j value" per nonzero entry (1-based), terminator "0 0 0"."""
-    lines = [f"{m.rows} {m.cols}"]
+    "i j value" per nonzero entry (1-based), terminator "0 0 0".  A row is
+    one join over its " j " column strings, made once for the columns
+    within the size cap, and its values; a row past the cap, which only
+    the Python API can build, formats its columns as it goes."""
+    cols = [f" {j} " for j in range(1, min(m.cols, 1 << SIZE_CAP) + 1)]
+    out = [f"{m.rows} {m.cols}"]
     for i, row in enumerate(m._data, 1):
-        lines.extend(f"{i} {j + 1} {v}" for j, v in row)
-    lines.append("0 0 0")
-    return "\n".join(lines) + "\n"
+        if row:
+            head = f"\n{i}"
+            words = ([cols[j] + str(v) for j, v in row] if row[-1][0] < len(cols)
+                     else [f" {j + 1} {v}" for j, v in row])
+            out.append(head + head.join(words))
+    out.append("\n0 0 0\n")
+    return "".join(out)
 
 
 def from_text(text: str) -> IntMatrix:

@@ -6,10 +6,11 @@ simultaneously diagonalizes every inclusion matrix with t <= k <= n/2.
 """
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 
 from .bigmat import SIZE_CAP, IntMatrix, _combine, _packed
-from .subsets import (NONZERO_CAP, _check_side, count_full_rank,
+from .subsets import (NONZERO_CAP, _check_side, _inclusion_row, count_full_rank,
                       enumerate_subsets, has_full_rank, incidence_matrix)
 
 
@@ -39,19 +40,26 @@ def wilson_diagonal(n: int, t: int, k: int) -> tuple:
 
 def build_E(n: int, k: int) -> IntMatrix:
     """The canonical basis matrix: for j = 0..k, the rows of W_{j,k}
-    labeled by full-rank j-subsets."""
+    labeled by full-rank j-subsets, written by W's own row writer for
+    those subsets only.  The side check is the only refusal needed: column
+    K of E holds a 1 at each J within K, so E has at most C(n, k) 2^k
+    nonzeros, 3.3 M at E(16, 8), the largest E within the side cap, and
+    that is below NONZERO_CAP, the cap of one W."""
     _check_half(n, k)
-    return IntMatrix.from_rows(
-        (dict(w.pairs(i)) for j in range(k + 1) for w in (incidence_matrix(n, j, k),)
-         for i, s in enumerate(enumerate_subsets(n, j)) if has_full_rank(s)),
-        comb(n, k))
+    pos = {c: i for i, c in enumerate(enumerate_subsets(n, k))}
+    return IntMatrix._stored(tuple(chain.from_iterable(
+        map(_inclusion_row(n, j, k, pos),
+            filter(has_full_rank, enumerate_subsets(n, j))) for j in range(k + 1))),
+        len(pos))
 
 
 def wilson_form(n: int, t: int, k: int) -> IntMatrix:
-    """Wilson's diagonal form for the (t,k) inclusion matrix, t <= k <= n/2."""
+    """Wilson's diagonal form for the (t,k) inclusion matrix, t <= k <= n/2;
+    a zero diagonal entry is not stored."""
     entries = wilson_diagonal(n, t, k)
     assert len(entries) == comb(n, t)
-    return IntMatrix.from_rows(({i: e} for i, e in enumerate(entries)), comb(n, k))
+    return IntMatrix._stored(tuple(((i, e),) if e else ()
+                                   for i, e in enumerate(entries)), comb(n, k))
 
 
 def verify_bier(n: int) -> list:

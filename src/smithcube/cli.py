@@ -128,6 +128,8 @@ def _cmd_verify(args) -> int:
         ok = cube.verify_half_lemma(n)
     elif args.target == "conjugacy":
         ok = cube.verify_conjugacy(n)
+    elif args.target == "shadow":
+        ok = reduction.verify_shadow(n)
     else:  # laplacian
         comparisons = reduction.laplacian_partial_check(n)
         # nI - A = -A mod n, so any kernel that respects negation gives the
@@ -177,7 +179,7 @@ def build_parser() -> _Parser:
 
     vf = sub.add_parser("verify", help="run one of the structural verifications")
     vf.add_argument("target", choices=["bier", "conjecture", "half",
-                                       "conjugacy", "laplacian"])
+                                       "conjugacy", "laplacian", "shadow"])
     vf.add_argument("n", type=int)
     vf.set_defaults(func=_cmd_verify)
 

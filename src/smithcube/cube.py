@@ -8,8 +8,9 @@ group of the cube.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, product, repeat
 from math import comb
 
 from .bigmat import SIZE_CAP, IntMatrix, _combine, _packed
@@ -42,9 +43,15 @@ def adjacency(n: int) -> IntMatrix:
     _check_n(n)
     order = vertex_order(n)
     pos = {s: i for i, s in enumerate(order)}
-    bits = [1 << x for x in range(n)]
-    return IntMatrix.from_rows(({pos[s ^ b]: 1 for b in bits} for s in order),
-                               1 << n)
+    # the level below comes first and masks rise within a level, so a row
+    # is in column order when s loses its bits highest first and then
+    # gains the missing ones lowest first
+    down = [1 << x for x in reversed(range(n))]
+    up = down[::-1]
+    return IntMatrix._stored(tuple(
+        tuple(zip(map(pos.__getitem__, [s ^ b for b in down if s & b]
+                      + [s | b for b in up if not s & b]), repeat(1)))
+        for s in order), 1 << n)
 
 
 def monomial_adjacency(n: int) -> IntMatrix:
@@ -60,9 +67,14 @@ def laplacian(n: int) -> IntMatrix:
 
 
 def _laplacian_of(a: IntMatrix, n: int) -> IntMatrix:
-    """n*I - A from the rows of A, the n-cube's adjacency matrix."""
-    return IntMatrix.from_rows(({i: n, **{j: -v for j, v in a.pairs(i)}}
-                                for i in range(a.rows)), a.rows)
+    """n*I - A from the rows of A, the n-cube's adjacency matrix: A has no
+    diagonal entry, so (i, n) goes in among row i's negated pairs where
+    column i falls."""
+    def row(i, pairs):
+        out = [(j, -v) for j, v in pairs]
+        out.insert(bisect_left(pairs, (i,)), (i, n))
+        return tuple(out)
+    return IntMatrix._stored(tuple(map(row, range(a.rows), a._data)), a.rows)
 
 
 def _subset_sums(n: int, rows) -> list:
@@ -108,19 +120,21 @@ def graded_blocks(n: int, row_sizes, col_sizes, up) -> IntMatrix:
     ends = list(accumulate((comb(n, j) for j in col_sizes), initial=0))
     start = dict(zip(col_sizes, ends))
 
-    def rows():
-        for i in row_sizes:
-            h, w, diagonal = comb(n, i), comb(n, i + 1), start.get(i)
-            b = up(i) if i + 1 in start else None
-            if b is not None and (b.rows, b.cols) != (h, w):
-                raise ValueError(f"up({i}) is {b.rows}x{b.cols}, expected {h}x{w}")
-            for r in range(h):
-                row = {} if b is None else {start[i + 1] + c: v for c, v in b.pairs(r)}
-                if diagonal is not None:
-                    row[diagonal + r] = n - 2 * i
-                yield row
-
-    return IntMatrix.from_rows(rows(), ends[-1])
+    data: list = []
+    for i in row_sizes:
+        h, w, diagonal = comb(n, i), comb(n, i + 1), start.get(i)
+        b = up(i) if i + 1 in start else None
+        if b is not None and (b.rows, b.cols) != (h, w):
+            raise ValueError(f"up({i}) is {b.rows}x{b.cols}, expected {h}x{w}")
+        # the diagonal slot lies in block column i, left of block column i+1
+        slots = ([((diagonal + r, n - 2 * i),) for r in range(h)]
+                 if diagonal is not None and n != 2 * i else [()] * h)
+        if b is not None:
+            shift = start[i + 1]
+            slots = [d + tuple((shift + c, v) for c, v in pairs)
+                     for d, pairs in zip(slots, b._data)]
+        data += slots
+    return IntMatrix._stored(tuple(data), ends[-1])
 
 
 def build_M(n: int) -> IntMatrix:

@@ -39,9 +39,9 @@ def stacked_basis(n: int, k: int) -> IntMatrix:
     if ends[-1] > 1 << SIZE_CAP:
         raise ValueError(f"Estack({n}, {k}) has side {ends[-1]}, above the size "
                          f"cap 2^{SIZE_CAP} = {1 << SIZE_CAP}")
-    return IntMatrix.from_rows(
-        ({c0 + c: v for c, v in e.pairs(r)} for j, c0 in enumerate(ends[:-1])
-         for e in (build_E(n, j),) for r in range(e.rows)), ends[-1])
+    return IntMatrix._stored(tuple(
+        tuple((c0 + c, v) for c, v in pairs) for j, c0 in enumerate(ends[:-1])
+        for pairs in build_E(n, j)._data), ends[-1])
 
 
 def build_B(n: int) -> IntMatrix:
@@ -146,6 +146,32 @@ def build_condensed(m: int) -> CondensedMatrix:
     return CondensedMatrix(m, m + m.bit_length() + 2,
                            tuple(evens[k:] for k in range(m)),
                            tuple(count_full_rank(n, k) for k in range(m)))
+
+
+def _expand_shadow(c: CondensedMatrix) -> IntMatrix:
+    """The condensed shadow c of n = 2m written out in B's order: position j
+    of chain k is shadow row a = k+j-1 and stands for w_k rows of B in block
+    a-1, at positions p from w_1 + ... + w_{k-1} on; each holds the residue
+    at column p of block a-1 and j at column p of block a, in that order."""
+    n = 2 * c.m
+    ends = list(accumulate((comb(n, b) for b in range(c.m + 1)), initial=0))
+    rows: list = []
+    for a in range(1, c.m + 1):
+        p = 0
+        for k in range(1, a + 1):
+            j, w = a + 1 - k, c.weights[k - 1]
+            v = c.entries[k - 1][j - 1]
+            rows += (((ends[a - 1] + q, v), (ends[a] + q, j)) for q in range(p, p + w))
+            p += w
+    return IntMatrix._stored(tuple(rows), ends[-1])
+
+
+def verify_shadow(n: int) -> bool:
+    """B is the sum of its condensed shadow's chains: the shadow of n = 2m,
+    written out row by row, is B itself.  B is built first, so that an n
+    above the size cap is refused before the shadow is written out."""
+    b = build_B(n)
+    return _expand_shadow(build_condensed(n // 2)) == b
 
 
 class ReductionStep(_Record):
@@ -449,13 +475,17 @@ def verify_conjecture(n: int, oracle_cap: int) -> bool:
     2-adic correspondence: 2^i occurs among the 2-elementary divisors as often
     as an eigenvalue is exactly divisible by 2^(i+1).  The divisor side,
     compared by `same_group`, is the oracle's summary up to oracle_cap, the
-    reduction's beyond it."""
+    reduction's beyond it.  The reduction takes its odd primes from the
+    eigenvalues themselves, so beyond the cap the halved eigenvalues' group
+    must also be the closed form's, whose binomials come from
+    `_binomial_row`."""
     _require_even(n)
-    summary = (smith_group_oracle(n) if n <= oracle_cap
-               else smith_group_reduction(n))
     eigen = eigenvalue_diagonal(n)
-    return same_group(summary, SmithGroupSummary(
-        n, eigen.pop(0), {v // 2: c for v, c in eigen.items()}))
+    halved = SmithGroupSummary(n, eigen.pop(0), {v // 2: c for v, c in eigen.items()})
+    if n <= oracle_cap:
+        return same_group(smith_group_oracle(n), halved)
+    return (same_group(smith_group_reduction(n), halved)
+            and same_group(halved, smith_group(n)))
 
 
 def laplacian_partial_check(n: int) -> tuple:

@@ -96,11 +96,17 @@ def incidence_matrix(n: int, t: int, k: int) -> IntMatrix:
     if nonzeros > NONZERO_CAP:
         raise ValueError(f"W({n}, {t}, {k}) has {nonzeros} nonzeros, above the "
                          f"cap 3^{SIZE_CAP} = {NONZERO_CAP}")
-    # row s lists its columns' masks itself: the k-subsets of its own bits
-    # (t >= k), or s plus each (k - t)-subset of its complement's bits
-    # (t < k); s ^ flip is s's complement for t < k and s itself otherwise
-    flip, size = ((1 << n) - 1, k - t) if t < k else (0, k)
     pos = {c: i for i, c in enumerate(enumerate_subsets(n, k))}
-    return IntMatrix._stored(tuple(
-        tuple(zip(map(pos.__getitem__, _colex(s & flip, s ^ flip, size)), repeat(1)))
-        for s in enumerate_subsets(n, t)), len(pos))
+    return IntMatrix._stored(tuple(map(_inclusion_row(n, t, k, pos),
+                                       enumerate_subsets(n, t))), len(pos))
+
+
+def _inclusion_row(n: int, t: int, k: int, pos: dict):
+    """The writer of W(n, t, k)'s stored rows: t-subset s -> its (column, 1)
+    pairs, increasing, with the columns ranked by pos.  Row s lists its
+    columns' masks itself: the k-subsets of its own bits (t >= k), or s plus
+    each (k - t)-subset of its complement's bits (t < k); s ^ flip is s's
+    complement for t < k and s itself otherwise."""
+    flip, size = ((1 << n) - 1, k - t) if t < k else (0, k)
+    return lambda s: tuple(zip(map(pos.__getitem__, _colex(s & flip, s ^ flip, size)),
+                               repeat(1)))

@@ -96,10 +96,18 @@ def test_verify_bier_sweep():
 
 def _bier_by_products(n):
     """The failing pairs [t, k] by the two sparse products E_t W_{t,k} and
-    D_{t,k} E_k, with E built afresh from the current inclusion matrices."""
+    D_{t,k} E_k, with E built afresh from the current inclusion matrices:
+    E_k stacks the rows of `canonical.incidence_matrix(n, j, k)`, j <= k,
+    labeled by full-rank j-subsets."""
+    def e(k):
+        return IntMatrix.from_rows(
+            (dict(w.pairs(i)) for j in range(k + 1)
+             for w in (canonical.incidence_matrix(n, j, k),)
+             for i, s in enumerate(enumerate_subsets(n, j)) if has_full_rank(s)),
+            comb(n, k))
     return [[t, k] for k in range(n // 2 + 1) for t in range(k + 1)
-            if build_E(n, t) @ canonical.incidence_matrix(n, t, k)
-            != wilson_form(n, t, k) @ build_E(n, k)]
+            if e(t) @ canonical.incidence_matrix(n, t, k)
+            != wilson_form(n, t, k) @ e(k)]
 
 
 @pytest.mark.parametrize("index", [0, 7, -1])

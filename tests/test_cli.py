@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from smithcube import cli, cube, reduction
-from smithcube.bigmat import from_text
+from smithcube.bigmat import IntMatrix, from_text, to_text
 
 from grids import from_grid
 
@@ -69,6 +69,26 @@ MATRIX_SHA256 = {
     # recorded before the stacked basis checked its own side
     "Estack 6 3":
         "6495debd532ae99c803984bc2aaed1ac0da382e9a8e68147ac187a7b9d08076f",
+    # recorded before the builders wrote their rows straight into storage
+    # and to_text wrote each row with one join
+    "adjacency 12":
+        "eb6b45059d99f451ab7ffdca8843edc4acd19fa68547a540065bdf82e4ad94bc",
+    "laplacian 12":
+        "02ed9381760e57efec42a2d0d04e5b119c73aad5738ef0763f9d4c1a73bcaac5",
+    "monomial 12":
+        "da0837d15a5271d4c292f4e8602761a54219aca40ce7b6ab2028640e29c8a503",
+    "M 12":
+        "c8b3874c8e3647b11fd9d501ed6dcc4603bcfbfdaf973af54876e122c6ab2fa2",
+    "N 12":
+        "88c70d15e9986ce94aa016dff20c4c49169f24e315ff36616620e638b8e860ef",
+    "B 12":
+        "5e9104cb8facb8495a6f58e819dd486b97d39ab6dfb15439585701aa6bbd53e2",
+    "E 12 6":
+        "6e0065c3ed220120b77117abe704e77c2eb4ce1682f2af767c002375b15d5dfa",
+    "Estack 12 6":
+        "73bb1c288ef5c41fd8a9c86e56a9af6b10f75fe30c85a3111ac4d28914edadad",
+    "D 12 2 5":
+        "8ce191eca4dfd00df3a3d5c68463ac8c4c7f23ecb148b4daeaaf5e50ae7d5347",
 }
 
 
@@ -77,6 +97,41 @@ def test_matrix_output_digests(capsys):
         code, out, err = run(capsys, "matrix", *args.split())
         assert (code, err) == (0, ""), args
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+def _matrix_params(kind, top):
+    """Every parameter list of a matrix kind with n <= top that its builder
+    accepts: n >= 1 for the cube kinds, even for M, N and B, and
+    t <= k <= n/2 for E, Estack and D."""
+    if kind in ("adjacency", "monomial", "laplacian"):
+        return [(n,) for n in range(1, top + 1)]
+    if kind in ("M", "N", "B"):
+        return [(n,) for n in range(2, top + 1, 2)]
+    if kind == "W":
+        return [(n, t, k) for n in range(top + 1) for t in range(n + 1)
+                for k in range(n + 1)]
+    if kind == "D":
+        return [(n, t, k) for n in range(top + 1) for k in range(n // 2 + 1)
+                for t in range(k + 1)]
+    return [(n, k) for n in range(top + 1) for k in range(n // 2 + 1)]
+
+
+@pytest.mark.parametrize("kind", sorted(cli._MATRICES))
+def test_every_matrix_kind_is_stored_in_column_order(kind):
+    # the builders write their rows straight into storage, so each must
+    # hold what from_rows would: strictly rising columns within the side,
+    # nonzero plain ints, and the text round trip
+    top = 12 if kind in ("E", "Estack", "D") else 10
+    for params in _matrix_params(kind, top):
+        m = cli._MATRICES[kind][1](*params)
+        rows = [m.pairs(i) for i in range(m.rows)]
+        for row in rows:
+            cols = [j for j, _ in row]
+            assert cols == sorted(set(cols)), (kind, params)
+            assert all(type(j) is int and 0 <= j < m.cols for j in cols), (kind, params)
+            assert all(type(v) is int and v for _, v in row), (kind, params)
+        assert m == IntMatrix.from_rows(map(dict, rows), m.cols), (kind, params)
+        assert from_text(to_text(m)) == m, (kind, params)
 
 
 # SHA-256 over one JSON line [argv, exit code, stdout, stderr] for each
@@ -157,7 +212,8 @@ def test_verify_csv_reports_status(capsys):
 
 
 def test_verify_n_below_one_is_usage_error(capsys):
-    for target in ("bier", "conjecture", "half", "conjugacy", "laplacian"):
+    for target in ("bier", "conjecture", "half", "conjugacy", "laplacian",
+                   "shadow"):
         for n in ("0", "-2"):
             code, out, err = run(capsys, "verify", target, n)
             assert code == 1, (target, n)

@@ -1,6 +1,5 @@
 import json
 from fractions import Fraction
-from itertools import accumulate
 from math import comb
 
 import pytest
@@ -9,9 +8,9 @@ from smithcube import bigmat, canonical, cli, cube, reduction, subsets
 from smithcube.bigmat import IntMatrix, snf
 from smithcube.canonical import wilson_form
 from smithcube.cube import adjacency, build_M
-from smithcube.reduction import (CondensedMatrix, SmithGroupSummary, build_B,
-                                 build_condensed, eigenvalue_diagonal,
-                                 invariant_factor_rle,
+from smithcube.reduction import (CondensedMatrix, SmithGroupSummary,
+                                 _expand_shadow, build_B, build_condensed,
+                                 eigenvalue_diagonal, invariant_factor_rle,
                                  laplacian_partial_check, reduce_condensed,
                                  same_group, smith_group, smith_group_oracle,
                                  smith_group_reduction, stacked_basis,
@@ -101,38 +100,29 @@ def test_build_condensed_rejects_negative_m():
         assert c.entries[0][0] == 2 * m
 
 
-def _expand_shadow(c: CondensedMatrix) -> IntMatrix:
-    """The condensed shadow c of n = 2m written out in B's order: position j
-    of chain k is shadow row a = k+j-1 and stands for w_k rows of B in block
-    a-1, at positions p from w_1 + ... + w_{k-1} on; each holds the residue
-    at column p of block a-1 and j at column p of block a."""
-    n = 2 * c.m
-    ends = list(accumulate((comb(n, b) for b in range(c.m + 1)), initial=0))
-    rows = []
-    for a in range(1, c.m + 1):
-        p = 0
-        for k in range(1, a + 1):
-            j = a + 1 - k
-            for _ in range(c.weights[k - 1]):
-                rows.append({ends[a - 1] + p: c.entries[k - 1][j - 1], ends[a] + p: j})
-                p += 1
-    return IntMatrix.from_rows(rows, ends[-1])
-
-
-def test_B_is_the_sum_of_the_shadow_chains():
+def test_B_is_the_sum_of_the_shadow_chains(capsys):
     for n in range(2, 15, 2):
         assert _expand_shadow(build_condensed(n // 2)) == build_B(n), n
+        assert cli.main(["verify", "shadow", str(n)]) == 0, n
+        assert '"status":"ok"' in capsys.readouterr().out
+
+
+def _one_changed_shadow(c: CondensedMatrix, part: str) -> CondensedMatrix:
+    """c with its first entry of chain 2 raised by 2, or the weight of chain
+    3 raised by 1."""
+    entries, weights = list(c.entries), list(c.weights)
+    if part == "entry":
+        entries[1] = (entries[1][0] + 2, *entries[1][1:])
+    else:
+        weights[2] += 1
+    return CondensedMatrix(c.m, c.precision, tuple(entries), tuple(weights))
 
 
 def test_shadow_expansion_sees_one_changed_value(monkeypatch):
     n = 8
     c, b = build_condensed(n // 2), build_B(n)
-    entries, weights = list(c.entries), list(c.weights)
-    entries[1] = (entries[1][0] + 2, *entries[1][1:])
-    weights[2] += 1
-    for changed in (CondensedMatrix(c.m, c.precision, tuple(entries), c.weights),
-                    CondensedMatrix(c.m, c.precision, c.entries, tuple(weights))):
-        assert _expand_shadow(changed) != b
+    for part in ("entry", "weight"):
+        assert _expand_shadow(_one_changed_shadow(c, part)) != b
     diagonal = canonical.wilson_diagonal
 
     def one_entry_off(n, t, k):
@@ -141,6 +131,27 @@ def test_shadow_expansion_sees_one_changed_value(monkeypatch):
 
     monkeypatch.setattr(canonical, "wilson_diagonal", one_entry_off)
     assert _expand_shadow(c) != build_B(n)
+
+
+@pytest.mark.parametrize("part", ["entry", "weight"])
+def test_verify_shadow_sees_one_changed_value(monkeypatch, capsys, part):
+    exact = reduction.build_condensed
+    monkeypatch.setattr(reduction, "build_condensed",
+                        lambda m: _one_changed_shadow(exact(m), part))
+    assert cli.main(["verify", "shadow", "8"]) == 2
+    assert '"status":"mismatch"' in capsys.readouterr().out
+
+
+def test_verify_shadow_refuses_before_the_shadow(monkeypatch, capsys):
+    # an n above the size cap would write 2^(n-1) rows; odd n has no shadow
+    def no_build(m):
+        raise AssertionError(f"the shadow of n = {2 * m} was started")
+    monkeypatch.setattr(reduction, "build_condensed", no_build)
+    for n, message in (("16", "n=16 exceeds the size cap 14"),
+                       ("1446", "n=1446 exceeds the size cap 14"),
+                       ("7", "even n >= 2 required, got 7")):
+        assert cli.main(["verify", "shadow", n]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_condensed_validation_rejects_bad_values():
@@ -420,6 +431,16 @@ def test_conjecture_above_cap_checks_the_reduction(monkeypatch):
     bad[1] += 1
     monkeypatch.setattr(reduction, "two_local_divisors_of_M", lambda _n: bad)
     assert not verify_conjecture(n, oracle_cap=8)
+
+
+def test_conjecture_above_cap_checks_the_odd_primes(monkeypatch, capsys):
+    # the reduction takes its odd primes from the eigenvalues: with one
+    # eigenvalue 6 read as 2 the 2-adic table is the same and the route
+    # agrees with the halved eigenvalues, but not with the closed form
+    _changed(monkeypatch, "eigenvalue_diagonal", lambda d: _moved(d, 6, 2, 1))
+    for n in ("10", "12"):
+        assert cli.main(["verify", "conjecture", n]) == 2, n
+        assert '"status":"mismatch"' in capsys.readouterr().out
 
 
 def _moved(counts: dict, source: int, target: int, amount: int) -> dict:
